@@ -3,12 +3,16 @@ checks, and parameter sweeps.
 
 Each stream record is one event; for count-based windows at capacity an
 arrival also carries exactly one expiration, and both are timed together
-with every query update they trigger. The first fraction of measured events
-is treated as warm-up and excluded from summaries.
+with every query update they trigger. An event's time is the process CPU
+time it takes, with the cyclic garbage collector held off (as ``timeit``
+does), so neither the host descheduling the process nor a collection of
+garbage left by other runs lands on a single event. The first fraction of
+measured events is treated as warm-up and excluded from summaries.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace
 
@@ -81,6 +85,82 @@ def results_match(expected, actual) -> bool:
     return True
 
 
+class _Replay:
+    """One engine's replay of ``events``: untimed set-up and prefill on
+    construction, then one timed event per :meth:`step`."""
+
+    def __init__(self, engine_name: str, events: list[StreamEvent],
+                 queries: list[Query], policy: WindowPolicy, *, alpha: float,
+                 dedup: DedupConfig | None, workers: int, k_mult: int,
+                 prefill: int, verify_every: int, collect_digests: bool):
+        self.engine_name = engine_name
+        self.queries = queries
+        self.verify_every = verify_every
+        self.collect_digests = collect_digests
+        self.store = DocumentStore(policy)
+        self.feedback = FeedbackStore(alpha)
+        self.engine = build_engine(engine_name, self.store, self.feedback,
+                                   workers, k_mult)
+        self.driver = StreamDriver(self.store, self.engine, self.feedback, dedup)
+        for q in queries:
+            self.engine.register(q)
+        for ev in events[:prefill]:
+            self.driver.process(ev)
+        if prefill and engine_name in ("naive", "naive-kmax"):
+            self.engine.finalize_event()
+        self.pending = events[prefill:]
+        self.records: list[MetricsRecord] = []
+        self.verified = 0
+
+    def done(self) -> bool:
+        return len(self.records) == len(self.pending)
+
+    def step(self) -> None:
+        i = len(self.records)
+        ev = self.pending[i]
+        engine = self.engine
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            t0 = time.process_time()
+            outcome = self.driver.process(ev)
+            changed = engine.finalize_event()
+            elapsed = (time.process_time() - t0) * 1e6
+        finally:
+            if gc_was_on:
+                gc.enable()
+        changed |= outcome.changed
+        kind = "feedback" if isinstance(ev, Feedback) else (
+            "arrival+expire" if outcome.expired else "arrival")
+        digest = None
+        if self.collect_digests:
+            digest = hash(tuple((q.id, tuple(engine.current_result(q.id)))
+                                for q in self.queries))
+        self.records.append(MetricsRecord(i, kind, elapsed, len(changed), digest))
+        if self.verify_every and i % self.verify_every == 0:
+            self.verified += 1
+            for q in self.queries:
+                oracle = [(sd.doc_id, sd.score)
+                          for sd in naive_top_k(q, self.store, self.feedback)]
+                actual = engine.current_result(q.id)
+                if not results_match(oracle, actual):
+                    raise VerificationError(i, q.id, oracle, actual)
+
+    def result(self, warmup_frac: float) -> BenchResult:
+        records = self.records
+        timed = records[int(len(records) * warmup_frac):]
+        if timed:
+            micros = sorted(r.micros for r in timed)
+            mean = sum(micros) / len(micros)
+            p95 = micros[min(len(micros) - 1, int(0.95 * (len(micros) - 1)))]
+        else:
+            mean = p95 = 0.0
+        rescans = getattr(self.engine, "rescan_count", 0)
+        final = {str(q.id): self.engine.current_result(q.id) for q in self.queries}
+        return BenchResult(self.engine_name, records, mean, p95, rescans,
+                           self.verified, final)
+
+
 def run_benchmark(engine_name: str, events: list[StreamEvent], queries: list[Query],
                   policy: WindowPolicy, *, alpha: float = 0.2,
                   dedup: DedupConfig | None = None, workers: int = 1,
@@ -94,51 +174,13 @@ def run_benchmark(engine_name: str, events: list[StreamEvent], queries: list[Que
     fresh full-window rescan and raises :class:`VerificationError` on any
     mismatch.
     """
-    store = DocumentStore(policy)
-    feedback = FeedbackStore(alpha)
-    engine = build_engine(engine_name, store, feedback, workers, k_mult)
-    driver = StreamDriver(store, engine, feedback, dedup)
-    for q in queries:
-        engine.register(q)
-
-    for ev in events[:prefill]:
-        driver.process(ev)
-    if prefill and engine_name in ("naive", "naive-kmax"):
-        engine.finalize_event()
-
-    records: list[MetricsRecord] = []
-    verified = 0
-    perf = time.perf_counter
-    for i, ev in enumerate(events[prefill:]):
-        t0 = perf()
-        outcome = driver.process(ev)
-        changed = engine.finalize_event()
-        elapsed = (perf() - t0) * 1e6
-        changed |= outcome.changed
-        kind = "feedback" if isinstance(ev, Feedback) else (
-            "arrival+expire" if outcome.expired else "arrival")
-        digest = None
-        if collect_digests:
-            digest = hash(tuple((q.id, tuple(engine.current_result(q.id))) for q in queries))
-        records.append(MetricsRecord(i, kind, elapsed, len(changed), digest))
-        if verify_every and i % verify_every == 0:
-            verified += 1
-            for q in queries:
-                oracle = [(sd.doc_id, sd.score) for sd in naive_top_k(q, store, feedback)]
-                actual = engine.current_result(q.id)
-                if not results_match(oracle, actual):
-                    raise VerificationError(i, q.id, oracle, actual)
-
-    timed = records[int(len(records) * warmup_frac):]
-    if timed:
-        micros = sorted(r.micros for r in timed)
-        mean = sum(micros) / len(micros)
-        p95 = micros[min(len(micros) - 1, int(0.95 * (len(micros) - 1)))]
-    else:
-        mean = p95 = 0.0
-    rescans = getattr(engine, "rescan_count", 0)
-    final = {str(q.id): engine.current_result(q.id) for q in queries}
-    return BenchResult(engine_name, records, mean, p95, rescans, verified, final)
+    replay = _Replay(engine_name, events, queries, policy, alpha=alpha,
+                     dedup=dedup, workers=workers, k_mult=k_mult,
+                     prefill=prefill, verify_every=verify_every,
+                     collect_digests=collect_digests)
+    while not replay.done():
+        replay.step()
+    return replay.result(warmup_frac)
 
 
 @dataclass
@@ -159,13 +201,16 @@ def sweep(param: str, values: list[int], *, stream: StreamConfig,
 
     ``param`` is either ``n`` (query length) or ``N`` (window size); all
     other settings stay fixed. The first ``N`` stream events prefill the
-    window, the next ``measured_events`` are timed.
+    window, the next ``measured_events`` are timed. Per engine, the runs of
+    all values are set up first and their timed events then interleave one
+    at a time, so a slow spell of the host lands on every value alike
+    instead of bending the trend. Points come out value-major.
     """
     if param not in ("n", "N"):
         raise ValueError("sweep parameter must be 'n' or 'N'")
     if not values or sorted(values) != list(values):
         raise ValueError("sweep values must be non-empty and ascending")
-    points: list[SweepPoint] = []
+    inputs = []
     for value in values:
         n_window = value if param == "N" else window_n
         qcfg = replace(query, terms=value) if param == "n" else query
@@ -173,12 +218,26 @@ def sweep(param: str, values: list[int], *, stream: StreamConfig,
         vocab = Vocabulary()
         events = generate_stream(scfg, vocab)
         queries = generate_queries(qcfg, scfg.vocab_size, vocab)
-        policy = WindowPolicy.count_based(n_window)
+        inputs.append((events, queries, n_window))
+    results: dict[tuple[int, str], BenchResult] = {}
+    for engine_name in engines:
+        replays = [
+            _Replay(engine_name, events, queries, WindowPolicy.count_based(n_window),
+                    alpha=alpha, dedup=dedup,
+                    workers=workers if engine_name == "ita" else 1, k_mult=2,
+                    prefill=n_window, verify_every=verify_every,
+                    collect_digests=False)
+            for events, queries, n_window in inputs]
+        while not all(r.done() for r in replays):
+            for r in replays:
+                if not r.done():
+                    r.step()
+        for value, r in zip(values, replays):
+            results[(value, engine_name)] = r.result(warmup_frac=0.1)
+    points: list[SweepPoint] = []
+    for value in values:
         for engine_name in engines:
-            res = run_benchmark(
-                engine_name, events, queries, policy, alpha=alpha, dedup=dedup,
-                workers=workers if engine_name == "ita" else 1,
-                prefill=n_window, verify_every=verify_every)
+            res = results[(value, engine_name)]
             points.append(SweepPoint(value, engine_name, res.mean_micros,
                                      res.p95_micros, res))
     return points

@@ -53,7 +53,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="shard count for the ita engine (default 1)")
     p.add_argument("--dedup-threshold", type=float, default=None, metavar="T",
                    help="cosine threshold for duplicate suppression (>1 disables)")
-    p.add_argument("--dedup-candidates", type=int, default=5, metavar="C")
     p.add_argument("--alpha", type=float, default=0.2,
                    help="feedback boost coefficient (default 0.2)")
     p.add_argument("--verify", action="store_true",
@@ -104,7 +103,6 @@ def build_parser() -> _Parser:
                    help="comma-separated engine list (default ita,naive)")
     b.add_argument("--workers", type=int, default=1)
     b.add_argument("--dedup-threshold", type=float, default=None, metavar="T")
-    b.add_argument("--dedup-candidates", type=int, default=5, metavar="C")
     b.add_argument("--alpha", type=float, default=0.2)
     b.add_argument("--events", type=int, default=200,
                    help="measured events per point (default 200)")
@@ -121,7 +119,7 @@ def build_parser() -> _Parser:
 def _dedup_config(args) -> DedupConfig | None:
     if args.dedup_threshold is None:
         return None
-    return DedupConfig(args.dedup_threshold, args.dedup_candidates)
+    return DedupConfig(args.dedup_threshold)
 
 
 def _cmd_gen(args) -> int:

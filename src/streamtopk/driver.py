@@ -4,14 +4,16 @@ routing in front of any engine.
 The driver owns the :class:`DocumentStore` and the window policy. Engines
 never decide expiration themselves; the driver tells them which documents
 arrive and which expire, so single-node engines and sharded engines see
-identical window semantics.
+identical window semantics. With dedup on, the driver keeps the
+:class:`DuplicateIndex` in step with the store, so flags never depend on
+the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .dedup import DedupConfig, check_duplicate
+from .dedup import DedupConfig, DuplicateIndex, check_duplicate
 from .feedback import FeedbackStore
 from .index import DocumentStore
 from .model import Document, Query, QueryId
@@ -56,6 +58,8 @@ class StreamDriver:
         self.engine = engine
         self.feedback = feedback
         self.dedup = dedup if dedup is not None and dedup.enabled else None
+        self.duplicates = (DuplicateIndex(self.dedup.similarity_threshold, store.documents())
+                           if self.dedup is not None else None)
 
     def register(self, query: Query):
         return self.engine.register(query)
@@ -72,14 +76,17 @@ class StreamDriver:
         doc = event.doc
         dup = None
         if self.dedup is not None:
-            dup = check_duplicate(doc, self.store,
-                                  getattr(self.engine, "index", None), self.dedup)
+            dup = check_duplicate(doc, self.store, self.duplicates, self.dedup)
             if dup is not None:
                 doc = replace(doc, duplicate_of=dup)
         self.store.insert(doc)
+        if self.duplicates is not None:
+            self.duplicates.add(doc)
         changed = set(self.engine.apply_arrival(doc))
         expired = self.store.evict_due(doc.arrival_time)
         if expired:
+            if self.duplicates is not None:
+                self.duplicates.remove(expired)
             changed |= self.engine.apply_expirations(expired)
             if self.feedback is not None:
                 for gone in expired:

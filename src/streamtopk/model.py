@@ -64,9 +64,11 @@ class Vocabulary:
 class CompositionList:
     """A document's (term id, weight) pairs.
 
-    Terms are pairwise distinct, weights strictly positive, and pairs are
-    kept in canonical ascending-term-id order. The weight dict and the L2
-    norm are precomputed because scoring and cosine similarity are hot paths.
+    Terms are pairwise distinct, weights finite and strictly positive, and
+    pairs are kept in canonical ascending-term-id order. The weight dict and
+    the L2 norm are precomputed because scoring and cosine similarity are
+    hot paths; the norm of a non-empty list must be finite and positive,
+    as near-duplicate bounds and cosine rely on it.
     """
 
     __slots__ = ("pairs", "weights", "norm")
@@ -75,14 +77,16 @@ class CompositionList:
         canon = sorted(pairs)
         weights: dict[int, float] = {}
         for tid, w in canon:
-            if w <= 0:
-                raise ValueError(f"non-positive weight {w!r} for term {tid}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"weight {w!r} for term {tid} is not finite and positive")
             if tid in weights:
                 raise ValueError(f"duplicate term {tid} in composition")
             weights[tid] = w
         self.pairs: tuple[tuple[int, float], ...] = tuple(canon)
         self.weights = weights
         self.norm = math.sqrt(sum(w * w for w in weights.values()))
+        if weights and not 0 < self.norm < math.inf:
+            raise ValueError("weights out of range: the composition norm over- or underflows")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -147,8 +151,8 @@ class Query:
             raise ValueError("query needs at least one term")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if any(w <= 0 for w in self.term_weights.values()):
-            raise ValueError("query term weights must be positive")
+        if not all(0 < w < math.inf for w in self.term_weights.values()):
+            raise ValueError("query term weights must be finite and positive")
         object.__setattr__(self, "items", tuple(sorted(self.term_weights.items())))
 
     @property

@@ -1,3 +1,6 @@
+import gc
+from dataclasses import replace
+
 import pytest
 
 import streamtopk.bench as bench_mod
@@ -90,6 +93,36 @@ def test_sweep_single_value_equals_plain_run():
                    window_n=99, engines=["ita"], measured_events=25)
     assert len(points) == 1
     assert len(points[0].result.records) == 25
+
+
+def test_interleaved_sweep_equals_separate_runs():
+    scfg = StreamConfig(rate=100, vocab_size=30, seed=3, doc_length=(3, 8))
+    qcfg = QueryConfig(count=3, terms=2, k=2, seed=4)
+    points = sweep("N", [5, 12], stream=scfg, query=qcfg, window_n=0,
+                   engines=["ita", "naive"], measured_events=25, verify_every=4)
+    assert gc.isenabled()
+    for p in points:
+        v = Vocabulary()
+        events = generate_stream(replace(scfg, n_docs=p.value + 25), v)
+        queries = generate_queries(qcfg, scfg.vocab_size, v)
+        alone = run_benchmark(p.engine, events, queries,
+                              WindowPolicy.count_based(p.value), prefill=p.value)
+        assert p.result.final_results == alone.final_results
+        assert ([(r.kind, r.queries_updated) for r in p.result.records]
+                == [(r.kind, r.queries_updated) for r in alone.records])
+        assert p.result.events_verified > 0
+
+
+def test_gc_restored_when_an_event_raises(monkeypatch):
+    events, queries = _workload()
+
+    def boom(self, ev):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench_mod.StreamDriver, "process", boom)
+    with pytest.raises(RuntimeError):
+        run_benchmark("ita", events, queries, WindowPolicy.count_based(20))
+    assert gc.isenabled()
 
 
 def test_sweep_rejects_bad_parameters():

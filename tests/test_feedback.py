@@ -9,11 +9,11 @@ from streamtopk.driver import Arrival, Feedback
 from helpers import mkdoc, mkquery, oracle, random_events, results_equal
 
 
-def _setup(n=10, alpha=0.2):
+def _setup(n=10, alpha=0.2, dedup=None):
     store = DocumentStore(WindowPolicy.count_based(n))
     fb = FeedbackStore(alpha)
     eng = IncrementalTopKEngine(store, fb)
-    return store, fb, eng, StreamDriver(store, eng, fb)
+    return store, fb, eng, StreamDriver(store, eng, fb, dedup)
 
 
 def test_boost_rewrites_indexed_weight():
@@ -44,8 +44,7 @@ def test_feedback_on_expired_doc_is_an_error():
 
 def test_feedback_on_duplicate_is_an_error():
     from streamtopk import DedupConfig
-    store, fb, eng, driver = _setup()
-    driver.dedup = DedupConfig(0.9)
+    store, fb, eng, driver = _setup(dedup=DedupConfig(0.9))
     driver.process(Arrival(mkdoc(1, {7: 5})))
     driver.process(Arrival(mkdoc(2, {7: 5})))  # flagged duplicate of 1
     assert store.get(2).is_duplicate

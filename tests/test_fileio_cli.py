@@ -60,6 +60,18 @@ def test_parse_error_reports_line_number():
     assert err.value.lineno == 17
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_weights_are_rejected_with_their_line(weight):
+    stream = f"1\t0\t@\ta:1\n2\t1\t@\tt1:{weight},b:2\n"
+    with pytest.raises(StreamFormatError) as err:
+        read_stream(io.StringIO(stream), Vocabulary())
+    assert err.value.lineno == 2
+    queries = f"q1\t1\ta\nq2\t1\tb,t1:{weight}\n"
+    with pytest.raises(StreamFormatError) as err:
+        read_queries(io.StringIO(queries), Vocabulary())
+    assert err.value.lineno == 2
+
+
 def test_query_file_roundtrip_with_weights():
     vocab = Vocabulary()
     text = "q1\t2\tred,rose:2.5\nq2\t1\tthorn\n"

@@ -90,6 +90,12 @@ def test_composition_rejects_duplicates_and_nonpositive():
         CompositionList([(1, 0.0)])
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 1e200, 1e-200])
+def test_composition_rejects_non_finite_weights_and_norms(w):
+    with pytest.raises(ValueError):
+        CompositionList([(1, w)])
+
+
 def test_document_validation():
     with pytest.raises(ValueError):
         Document(id=5, arrival_time=0, composition=comp({1: 1}), duplicate_of=7)
@@ -104,6 +110,9 @@ def test_query_validation():
         Query(id="q", term_weights={1: 1.0}, k=0)
     with pytest.raises(ValueError):
         Query(id="q", term_weights={1: -1.0}, k=1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Query(id="q", term_weights={1: 1.0, 2: bad}, k=1)
     q = Query(id="q", term_weights={3: 1.0, 1: 2.0}, k=2)
     assert q.items == ((1, 2.0), (3, 1.0))
     assert q.n == 2
