@@ -3,37 +3,30 @@
 An in-memory engine that keeps, for every registered text query, the k
 documents of the current window most similar to the query's weighted terms,
 updating results incrementally on every arrival and expiration. Ships with
-a full-rescan baseline (plain and k_max-buffered), near-duplicate
-suppression, relevance-feedback boosting, document-partitioned
-scatter-gather sharding, and a benchmark harness.
+full-rescan baselines (plain and k_max-buffered) in ``streamtopk.baseline``,
+near-duplicate suppression, relevance-feedback boosting, and a replay
+harness. ``ShardSet`` (document-partitioned scatter-gather) remains only as
+the fixture of the sharded benchmark workload.
+
+The package root exports what the README and the benchmark use; everything
+else is imported from its submodule.
 """
 
-from .baseline import BufferedRescanEngine, FullRescanEngine, KmaxBuffer, naive_top_k
-from .bench import (BenchResult, MetricsRecord, VerificationError, build_engine,
-                    run_benchmark, sweep)
-from .coordinator import ShardSet, dispatch_event, merge_results
-from .dedup import DedupConfig, check_duplicate, cosine
-from .driver import Arrival, EventOutcome, Feedback, StreamDriver
-from .engine import IncrementalTopKEngine, QueryState
+from .baseline import naive_top_k
+from .coordinator import ShardSet
+from .dedup import DedupConfig
+from .driver import StreamDriver
+from .engine import IncrementalTopKEngine
 from .feedback import FeedbackStore
-from .genstream import QueryConfig, StreamConfig, generate_queries, generate_stream
-from .index import (DocumentStore, InvertedList, TermIndex, ThresholdTree,
-                    WindowPolicy, evict_expired, insert_document,
-                    probe_thresholds, set_local_threshold)
-from .model import (CompositionList, Document, Query, ScoredDoc, Term, Vocabulary,
-                    load_stopwords, score, tokenize)
+from .genstream import StreamConfig, generate_stream
+from .index import DocumentStore, WindowPolicy
+from .model import Document, Query, Vocabulary, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arrival", "BenchResult", "BufferedRescanEngine", "CompositionList",
-    "DedupConfig", "Document", "DocumentStore", "EventOutcome", "Feedback",
-    "FeedbackStore", "FullRescanEngine", "IncrementalTopKEngine", "InvertedList",
-    "KmaxBuffer", "MetricsRecord", "Query", "QueryConfig", "QueryState",
-    "ScoredDoc", "ShardSet", "StreamConfig", "StreamDriver", "Term", "TermIndex",
-    "ThresholdTree", "VerificationError", "Vocabulary", "WindowPolicy",
-    "build_engine", "check_duplicate", "cosine", "dispatch_event",
-    "evict_expired", "generate_queries", "generate_stream", "insert_document",
-    "load_stopwords", "merge_results", "naive_top_k", "probe_thresholds",
-    "run_benchmark", "score", "set_local_threshold", "sweep", "tokenize",
+    "DedupConfig", "Document", "DocumentStore", "FeedbackStore",
+    "IncrementalTopKEngine", "Query", "ShardSet", "StreamConfig",
+    "StreamDriver", "Vocabulary", "WindowPolicy", "generate_stream",
+    "naive_top_k", "tokenize",
 ]

@@ -74,9 +74,6 @@ class FullRescanEngine:
     def apply_arrival(self, doc: Document) -> set[QueryId]:
         return set()
 
-    def apply_expiration(self, doc: Document) -> set[QueryId]:
-        return set()
-
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
         return set()
 
@@ -229,9 +226,6 @@ class BufferedRescanEngine:
             if buf.top_k() != before:
                 changed.add(qid)
         return changed
-
-    def apply_expiration(self, doc: Document) -> set[QueryId]:
-        return self.apply_expirations([doc])
 
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
         changed: set[QueryId] = set()

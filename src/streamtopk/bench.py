@@ -6,7 +6,7 @@ arrival also carries exactly one expiration, and both are timed together
 with every query update they trigger. An event's time is the process CPU
 time it takes, with the cyclic garbage collector held off (as ``timeit``
 does), so neither the host descheduling the process nor a collection of
-garbage left by other runs lands on a single event. The first fraction of
+garbage left by other runs lands on a single event. The first tenth of
 measured events is treated as warm-up and excluded from summaries.
 """
 
@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .baseline import BufferedRescanEngine, FullRescanEngine, naive_top_k
-from .coordinator import ShardSet
 from .dedup import DedupConfig
 from .driver import Feedback, StreamDriver, StreamEvent
 from .engine import IncrementalTopKEngine
@@ -29,6 +28,8 @@ from .model import Query, Vocabulary
 ENGINE_NAMES = ("ita", "naive", "naive-kmax")
 
 SCORE_TOLERANCE = 1e-9
+
+WARMUP_FRAC = 0.1
 
 
 class VerificationError(AssertionError):
@@ -47,7 +48,6 @@ class MetricsRecord:
     kind: str
     micros: float
     queries_updated: int
-    digest: int | None = None
 
 
 @dataclass
@@ -61,19 +61,14 @@ class BenchResult:
     final_results: dict = field(default_factory=dict)
 
 
-def build_engine(name: str, store: DocumentStore, feedback: FeedbackStore,
-                 workers: int = 1, k_mult: int = 2):
+def build_engine(name: str, store: DocumentStore, feedback: FeedbackStore):
     if name not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {name!r}; choose from {ENGINE_NAMES}")
-    if workers > 1:
-        if name != "ita":
-            raise ValueError("--workers applies to the ita engine only")
-        return ShardSet(store, workers, feedback)
     if name == "ita":
         return IncrementalTopKEngine(store, feedback)
     if name == "naive":
         return FullRescanEngine(store, feedback)
-    return BufferedRescanEngine(store, feedback, k_mult=k_mult)
+    return BufferedRescanEngine(store, feedback)
 
 
 def results_match(expected, actual) -> bool:
@@ -91,16 +86,13 @@ class _Replay:
 
     def __init__(self, engine_name: str, events: list[StreamEvent],
                  queries: list[Query], policy: WindowPolicy, *, alpha: float,
-                 dedup: DedupConfig | None, workers: int, k_mult: int,
-                 prefill: int, verify_every: int, collect_digests: bool):
+                 dedup: DedupConfig | None, prefill: int, verify_every: int):
         self.engine_name = engine_name
         self.queries = queries
         self.verify_every = verify_every
-        self.collect_digests = collect_digests
         self.store = DocumentStore(policy)
         self.feedback = FeedbackStore(alpha)
-        self.engine = build_engine(engine_name, self.store, self.feedback,
-                                   workers, k_mult)
+        self.engine = build_engine(engine_name, self.store, self.feedback)
         self.driver = StreamDriver(self.store, self.engine, self.feedback, dedup)
         for q in queries:
             self.engine.register(q)
@@ -132,11 +124,7 @@ class _Replay:
         changed |= outcome.changed
         kind = "feedback" if isinstance(ev, Feedback) else (
             "arrival+expire" if outcome.expired else "arrival")
-        digest = None
-        if self.collect_digests:
-            digest = hash(tuple((q.id, tuple(engine.current_result(q.id)))
-                                for q in self.queries))
-        self.records.append(MetricsRecord(i, kind, elapsed, len(changed), digest))
+        self.records.append(MetricsRecord(i, kind, elapsed, len(changed)))
         if self.verify_every and i % self.verify_every == 0:
             self.verified += 1
             for q in self.queries:
@@ -146,9 +134,9 @@ class _Replay:
                 if not results_match(oracle, actual):
                     raise VerificationError(i, q.id, oracle, actual)
 
-    def result(self, warmup_frac: float) -> BenchResult:
+    def result(self) -> BenchResult:
         records = self.records
-        timed = records[int(len(records) * warmup_frac):]
+        timed = records[int(len(records) * WARMUP_FRAC):]
         if timed:
             micros = sorted(r.micros for r in timed)
             mean = sum(micros) / len(micros)
@@ -163,10 +151,8 @@ class _Replay:
 
 def run_benchmark(engine_name: str, events: list[StreamEvent], queries: list[Query],
                   policy: WindowPolicy, *, alpha: float = 0.2,
-                  dedup: DedupConfig | None = None, workers: int = 1,
-                  k_mult: int = 2, prefill: int = 0, verify_every: int = 0,
-                  warmup_frac: float = 0.1,
-                  collect_digests: bool = False) -> BenchResult:
+                  dedup: DedupConfig | None = None, prefill: int = 0,
+                  verify_every: int = 0) -> BenchResult:
     """Replay ``events`` through one engine, timing every post-prefill event.
 
     ``prefill`` events populate the window untimed. With ``verify_every`` set,
@@ -175,12 +161,10 @@ def run_benchmark(engine_name: str, events: list[StreamEvent], queries: list[Que
     mismatch.
     """
     replay = _Replay(engine_name, events, queries, policy, alpha=alpha,
-                     dedup=dedup, workers=workers, k_mult=k_mult,
-                     prefill=prefill, verify_every=verify_every,
-                     collect_digests=collect_digests)
+                     dedup=dedup, prefill=prefill, verify_every=verify_every)
     while not replay.done():
         replay.step()
-    return replay.result(warmup_frac)
+    return replay.result()
 
 
 @dataclass
@@ -195,7 +179,7 @@ class SweepPoint:
 def sweep(param: str, values: list[int], *, stream: StreamConfig,
           query: QueryConfig, window_n: int, engines: list[str],
           measured_events: int, alpha: float = 0.2,
-          dedup: DedupConfig | None = None, workers: int = 1,
+          dedup: DedupConfig | None = None,
           verify_every: int = 0) -> list[SweepPoint]:
     """One benchmark run per parameter value, shared seeds across engines.
 
@@ -223,17 +207,15 @@ def sweep(param: str, values: list[int], *, stream: StreamConfig,
     for engine_name in engines:
         replays = [
             _Replay(engine_name, events, queries, WindowPolicy.count_based(n_window),
-                    alpha=alpha, dedup=dedup,
-                    workers=workers if engine_name == "ita" else 1, k_mult=2,
-                    prefill=n_window, verify_every=verify_every,
-                    collect_digests=False)
+                    alpha=alpha, dedup=dedup, prefill=n_window,
+                    verify_every=verify_every)
             for events, queries, n_window in inputs]
         while not all(r.done() for r in replays):
             for r in replays:
                 if not r.done():
                     r.step()
         for value, r in zip(values, replays):
-            results[(value, engine_name)] = r.result(warmup_frac=0.1)
+            results[(value, engine_name)] = r.result()
     points: list[SweepPoint] = []
     for value in values:
         for engine_name in engines:

@@ -49,10 +49,9 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=ENGINE_NAMES, default="ita")
-    p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="shard count for the ita engine (default 1)")
     p.add_argument("--dedup-threshold", type=float, default=None, metavar="T",
-                   help="cosine threshold for duplicate suppression (>1 disables)")
+                   help="cosine threshold in (0, 1] for duplicate suppression "
+                        "(default off)")
     p.add_argument("--alpha", type=float, default=0.2,
                    help="feedback boost coefficient (default 0.2)")
     p.add_argument("--verify", action="store_true",
@@ -101,7 +100,6 @@ def build_parser() -> _Parser:
     _add_window_flags(b)
     b.add_argument("--engines", default="ita,naive",
                    help="comma-separated engine list (default ita,naive)")
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--dedup-threshold", type=float, default=None, metavar="T")
     b.add_argument("--alpha", type=float, default=0.2)
     b.add_argument("--events", type=int, default=200,
@@ -164,8 +162,6 @@ def _cmd_ingest(args) -> int:
         policy = (WindowPolicy.count_based(args.n) if args.window == "count"
                   else WindowPolicy.time_based(args.n))
         dedup = _dedup_config(args)
-        if args.workers > 1 and args.engine != "ita":
-            raise ValueError("--workers applies to the ita engine only")
     except ValueError as exc:
         print(f"streamtopk: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -173,7 +169,6 @@ def _cmd_ingest(args) -> int:
     try:
         result = run_benchmark(
             args.engine, events, queries, policy, alpha=args.alpha, dedup=dedup,
-            workers=args.workers,
             verify_every=args.verify_every if args.verify else 0)
     except VerificationError as exc:
         print(f"streamtopk: verification failed: {exc}", file=sys.stderr)
@@ -230,7 +225,7 @@ def _cmd_bench(args) -> int:
         points = sweep(param, values, stream=stream_cfg, query=query_cfg,
                        window_n=args.n, engines=engines,
                        measured_events=args.events, alpha=args.alpha,
-                       dedup=dedup, workers=args.workers,
+                       dedup=dedup,
                        verify_every=args.verify_every if args.verify else 0)
     except VerificationError as exc:
         print(f"streamtopk: verification failed: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .engine import IncrementalTopKEngine
 from .feedback import FeedbackStore
 from .index import DocumentStore
-from .model import Document, Query, QueryId, ScoredDoc
+from .model import Document, Query, QueryId
 
 
 class ShardSet:
@@ -22,13 +22,12 @@ class ShardSet:
                  feedback: FeedbackStore | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.store = store
+        self._workers = workers
         self.shards = [IncrementalTopKEngine(store, feedback) for _ in range(workers)]
         self._ks: dict[QueryId, int] = {}
 
-    def shard_of(self, doc_id: int) -> int:
-        return doc_id % self.workers
+    def _shard_of(self, doc_id: int) -> int:
+        return doc_id % self._workers
 
     def register(self, query: Query) -> None:
         if query.id in self._ks:
@@ -45,25 +44,19 @@ class ShardSet:
         del self._ks[qid]
 
     def apply_arrival(self, doc: Document) -> set[QueryId]:
-        return self.shards[self.shard_of(doc.id)].apply_arrival(doc)
-
-    def apply_expiration(self, doc: Document) -> set[QueryId]:
-        return self.shards[self.shard_of(doc.id)].apply_expiration(doc)
+        return self.shards[self._shard_of(doc.id)].apply_arrival(doc)
 
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
         by_shard: dict[int, list[Document]] = {}
         for doc in docs:
-            by_shard.setdefault(self.shard_of(doc.id), []).append(doc)
+            by_shard.setdefault(self._shard_of(doc.id), []).append(doc)
         changed: set[QueryId] = set()
         for idx, batch in by_shard.items():
             changed |= self.shards[idx].apply_expirations(batch)
         return changed
 
     def apply_feedback(self, doc: Document, old_factor: float, new_factor: float) -> set[QueryId]:
-        return self.shards[self.shard_of(doc.id)].apply_feedback(doc, old_factor, new_factor)
-
-    def finalize_event(self) -> set[QueryId]:
-        return set()
+        return self.shards[self._shard_of(doc.id)].apply_feedback(doc, old_factor, new_factor)
 
     def current_result(self, qid: QueryId) -> list[tuple[int, float]]:
         k = self._ks.get(qid)
@@ -74,16 +67,3 @@ class ShardSet:
             partials.extend((s, did) for did, s in shard.current_result(qid))
         partials.sort(reverse=True)
         return [(did, s) for s, did in partials[:k]]
-
-
-def dispatch_event(shardset: ShardSet, doc: Document, expired: list[Document]) -> set[QueryId]:
-    """Route one arrival plus its globally determined expirations."""
-    changed = shardset.apply_arrival(doc)
-    for gone in expired:
-        changed |= shardset.apply_expiration(gone)
-    return changed
-
-
-def merge_results(qid: QueryId, shardset: ShardSet) -> list[ScoredDoc]:
-    """Merge per-shard verified lists into the global top-k."""
-    return [ScoredDoc(did, s, True) for did, s in shardset.current_result(qid)]

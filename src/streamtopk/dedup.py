@@ -2,8 +2,8 @@
 
 An arrival whose best cosine similarity to a windowed non-duplicate document
 reaches the configured threshold is flagged as a duplicate of that document
-and never indexed, which keeps it out of every result list. A threshold
-above 1 disables detection entirely.
+and never indexed, which keeps it out of every result list. The threshold
+lies in (0, 1]; a driver without a :class:`DedupConfig` runs no detection.
 
 Detection is exact: :class:`DuplicateIndex` finds every windowed document at
 cosine >= t with a prefix filter (AllPairs, Bayardo, Ma & Srikant, WWW 2007)
@@ -34,12 +34,8 @@ class DedupConfig:
     candidate_terms: int = 5
 
     def __post_init__(self) -> None:
-        if self.similarity_threshold <= 0:
-            raise ValueError("similarity threshold must be positive")
-
-    @property
-    def enabled(self) -> bool:
-        return self.similarity_threshold <= 1.0
+        if not 0.0 < self.similarity_threshold <= 1.0:  # NaN fails too
+            raise ValueError("similarity threshold must lie in (0, 1]")
 
 
 def cosine(a: CompositionList, b: CompositionList) -> float:
@@ -169,7 +165,7 @@ def check_duplicate(doc: Document, store: DocumentStore,
     newest document. Candidates come from ``index``; with no index the whole
     window is scanned, which gives the same answer.
     """
-    if not config.enabled or not doc.composition.pairs:
+    if not doc.composition.pairs:
         return None
     if index is not None:
         if index.threshold != config.similarity_threshold:

@@ -57,9 +57,9 @@ class StreamDriver:
         self.store = store
         self.engine = engine
         self.feedback = feedback
-        self.dedup = dedup if dedup is not None and dedup.enabled else None
-        self.duplicates = (DuplicateIndex(self.dedup.similarity_threshold, store.documents())
-                           if self.dedup is not None else None)
+        self.dedup = dedup
+        self.duplicates = (DuplicateIndex(dedup.similarity_threshold, store.documents())
+                           if dedup is not None else None)
 
     def register(self, query: Query):
         return self.engine.register(query)

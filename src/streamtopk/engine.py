@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .feedback import FeedbackStore
 from .index import DocumentStore, TermIndex
-from .model import Document, Query, QueryId, ScoredDoc, dot_score
+from .model import Document, Query, QueryId, dot_score
 
 
 class QueryState:
@@ -60,27 +60,8 @@ class QueryState:
             return None
         return -self.cand_keys[self.k - 1][0]
 
-    @property
-    def influence_threshold(self) -> float:
-        return self.tau
-
-    @property
-    def local_thresholds(self) -> dict[int, float]:
-        return dict(self.thresholds)
-
     def verified(self) -> list[tuple[int, float]]:
         return [(int(-nid), -ns) for ns, nid in self.cand_keys[: self.k]]
-
-    def entries(self) -> list[ScoredDoc]:
-        """Verified results first, then unverified refill candidates at or
-        above the influence threshold."""
-        out = [ScoredDoc(int(-nid), -ns, True) for ns, nid in self.cand_keys[: self.k]]
-        out.extend(
-            ScoredDoc(int(-nid), -ns, False)
-            for ns, nid in self.cand_keys[self.k:]
-            if -ns >= self.tau
-        )
-        return out
 
 
 class IncrementalTopKEngine:
@@ -185,10 +166,6 @@ class IncrementalTopKEngine:
         self.last_scored = scored
         return changed
 
-    def apply_expiration(self, doc: Document) -> set[QueryId]:
-        """De-index an expired document and repair every result holding it."""
-        return self.apply_expirations([doc])
-
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
         """Handle a batch of expirations from the window head.
 
@@ -272,9 +249,6 @@ class IncrementalTopKEngine:
         """The verified top-k as (doc id, score), best first; ties favour the
         newer document."""
         return self.state(qid).verified()
-
-    def result_entries(self, qid: QueryId) -> list[ScoredDoc]:
-        return self.state(qid).entries()
 
     # -- search internals ----------------------------------------------------
 

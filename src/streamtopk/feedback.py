@@ -17,9 +17,6 @@ class FeedbackStore:
         self._ratings: dict[int, float] = {}
         self._factors: dict[int, float] = {}
 
-    def rating(self, doc_id: int) -> float:
-        return self._ratings.get(doc_id, 0.0)
-
     def factor(self, doc_id: int) -> float:
         return self._factors.get(doc_id, 1.0)
 

@@ -10,7 +10,9 @@ Query files hold one query per line:
 
     query_id<TAB>k<TAB>term[:weight],term[:weight],...
 
-Weights default to 1. Parsers report the offending line number on error.
+Weights default to 1. Document ids must increase and timestamps must not
+decrease from one arrival to the next; ratings lie in [0, 1]. Parsers
+report the offending line number on error.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def _parse_pairs(body: str, vocab: Vocabulary, lineno: int) -> CompositionList:
 def read_stream(fh: IO[str], vocab: Vocabulary,
                 stopwords: frozenset[str] = frozenset()) -> list[StreamEvent]:
     events: list[StreamEvent] = []
+    last: Document | None = None
     for lineno, line in enumerate(fh, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -89,6 +92,8 @@ def read_stream(fh: IO[str], vocab: Vocabulary,
                 rating = float(fields[2])
             except ValueError:
                 raise StreamFormatError(lineno, "bad feedback fields") from None
+            if not 0.0 <= rating <= 1.0:  # NaN fails too
+                raise StreamFormatError(lineno, f"rating {fields[2]!r} must lie in [0, 1]")
             events.append(Feedback(doc_id, rating, lineno))
             continue
         if len(fields) < 3:
@@ -100,6 +105,11 @@ def read_stream(fh: IO[str], vocab: Vocabulary,
             raise StreamFormatError(lineno, "bad id or timestamp") from None
         if ts < 0 or doc_id < 0:
             raise StreamFormatError(lineno, "id and timestamp must be non-negative")
+        if last is not None and doc_id <= last.id:
+            raise StreamFormatError(lineno, f"document id {doc_id} does not follow {last.id}")
+        if last is not None and ts < last.arrival_time:
+            raise StreamFormatError(
+                lineno, f"timestamp {ts} is below the previous arrival's {last.arrival_time}")
         if fields[2] == "@":
             if len(fields) != 4:
                 raise StreamFormatError(lineno, "pre-tokenized record needs a term list")
@@ -110,6 +120,7 @@ def read_stream(fh: IO[str], vocab: Vocabulary,
             comp = tokenize(text, stopwords, vocab)
             doc = Document(id=doc_id, arrival_time=ts, composition=comp, text=text)
         events.append(Arrival(doc, lineno))
+        last = doc
     return events
 
 

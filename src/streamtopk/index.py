@@ -48,8 +48,9 @@ class WindowPolicy:
 class DocumentStore:
     """FIFO store of the currently valid documents.
 
-    Documents enter at the tail in strictly increasing id order and leave
-    from the head when the window policy expires them.
+    Documents enter at the tail in strictly increasing id order, with
+    arrival times that never decrease, and leave from the head when the
+    window policy expires them.
     """
 
     def __init__(self, policy: WindowPolicy):
@@ -58,10 +59,13 @@ class DocumentStore:
         self._by_id: dict[int, Document] = {}
 
     def insert(self, doc: Document) -> None:
-        if self._docs and doc.id <= self._docs[-1].id:
-            raise ValueError(
-                f"out-of-order document id {doc.id} after {self._docs[-1].id}"
-            )
+        if self._docs:
+            last = self._docs[-1]
+            if doc.id <= last.id:
+                raise ValueError(f"out-of-order document id {doc.id} after {last.id}")
+            if doc.arrival_time < last.arrival_time:
+                raise ValueError(f"arrival time {doc.arrival_time} of document {doc.id} "
+                                 f"is below {last.arrival_time} of document {last.id}")
         self._docs.append(doc)
         self._by_id[doc.id] = doc
 
@@ -277,36 +281,3 @@ class TermIndex:
 
     def __contains__(self, tid: int) -> bool:
         return tid in self._terms
-
-
-def insert_document(store: DocumentStore, index: TermIndex, doc: Document,
-                    factor: float = 1.0) -> None:
-    """Append a document to the window and index it (duplicates stay unindexed)."""
-    store.insert(doc)
-    index.add_document(doc, factor)
-
-
-def evict_expired(store: DocumentStore, index: TermIndex, now: int,
-                  factors: dict[int, float] | None = None) -> list[Document]:
-    """Expire due documents from the window and drop their impact entries.
-
-    ``factors`` supplies per-document boost multipliers when feedback has
-    rewritten indexed weights.
-    """
-    expired = store.evict_due(now)
-    for doc in expired:
-        f = factors.get(doc.id, 1.0) if factors else 1.0
-        index.remove_document(doc, f)
-    return expired
-
-
-def probe_thresholds(tree: ThresholdTree, weight: float) -> set[QueryId]:
-    """Set of query ids whose local threshold for this term is <= ``weight``."""
-    if weight <= 0:
-        raise ValueError("probe weight must be positive")
-    return set(tree.probe(weight))
-
-
-def set_local_threshold(tree: ThresholdTree, qid: QueryId, old: float, new: float) -> None:
-    """Replace a query's registered local threshold, keeping tree order."""
-    tree.update(qid, old, new)

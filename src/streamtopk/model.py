@@ -18,14 +18,6 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 QueryId = int | str
 
 
-@dataclass(frozen=True)
-class Term:
-    """A dictionary entry: dense integer id plus the original (lowercased) token."""
-
-    id: int
-    text: str
-
-
 class Vocabulary:
     """Token <-> dense term-id registry.
 
@@ -35,27 +27,24 @@ class Vocabulary:
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
-        self._terms: list[Term] = []
+        self._tokens: list[str] = []
 
     def intern(self, token: str) -> int:
         tid = self._ids.get(token)
         if tid is None:
-            tid = len(self._terms)
+            tid = len(self._tokens)
             self._ids[token] = tid
-            self._terms.append(Term(tid, token))
+            self._tokens.append(token)
         return tid
 
     def get(self, token: str) -> int | None:
         return self._ids.get(token)
 
-    def term(self, tid: int) -> Term:
-        return self._terms[tid]
-
     def token(self, tid: int) -> str:
-        return self._terms[tid].text
+        return self._tokens[tid]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._tokens)
 
     def __contains__(self, token: str) -> bool:
         return token in self._ids

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 
-from streamtopk import (CompositionList, DedupConfig, Document, DocumentStore,
-                        FeedbackStore, IncrementalTopKEngine, Query, ShardSet,
-                        StreamDriver, WindowPolicy, naive_top_k)
+from streamtopk import (DedupConfig, Document, DocumentStore, FeedbackStore,
+                        IncrementalTopKEngine, Query, StreamDriver, WindowPolicy,
+                        naive_top_k)
 from streamtopk.driver import Arrival
+from streamtopk.model import CompositionList
 
 TOL = 1e-9
 
@@ -56,13 +57,12 @@ def random_events(rng: random.Random, n_docs: int, vocab: int,
 
 def run_against_oracle(events, queries, policy: WindowPolicy, *,
                        alpha: float = 0.2, dedup: DedupConfig | None = None,
-                       workers: int = 1, check_every: int = 1):
+                       check_every: int = 1):
     """Replay events through the incremental engine, asserting oracle
     equality after every ``check_every``-th event. Returns the engine."""
     store = DocumentStore(policy)
     fb = FeedbackStore(alpha)
-    engine = (ShardSet(store, workers, fb) if workers > 1
-              else IncrementalTopKEngine(store, fb))
+    engine = IncrementalTopKEngine(store, fb)
     driver = StreamDriver(store, engine, fb, dedup)
     for q in queries:
         engine.register(q)

@@ -11,13 +11,14 @@ import random
 import time
 
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
-                        IncrementalTopKEngine, Query, QueryConfig, ShardSet,
-                        StreamConfig, StreamDriver, Vocabulary, WindowPolicy,
-                        cosine, generate_queries, generate_stream, naive_top_k,
-                        run_benchmark, sweep)
+                        IncrementalTopKEngine, Query, ShardSet, StreamConfig,
+                        StreamDriver, Vocabulary, WindowPolicy, generate_stream,
+                        naive_top_k)
+from streamtopk.bench import run_benchmark, sweep
+from streamtopk.dedup import cosine
 from streamtopk.driver import Feedback
 from streamtopk.fileio import write_stream
-from streamtopk.genstream import token_for
+from streamtopk.genstream import QueryConfig, generate_queries, token_for
 
 from helpers import results_equal
 

@@ -1,8 +1,8 @@
 import random
 
-from streamtopk import (BufferedRescanEngine, DocumentStore, FeedbackStore,
-                        FullRescanEngine, IncrementalTopKEngine, StreamDriver,
-                        WindowPolicy, naive_top_k)
+from streamtopk import (DocumentStore, FeedbackStore, IncrementalTopKEngine,
+                        StreamDriver, WindowPolicy, naive_top_k)
+from streamtopk.baseline import BufferedRescanEngine, FullRescanEngine
 from streamtopk.driver import Arrival
 
 from helpers import mkdoc, mkquery, random_events, results_equal

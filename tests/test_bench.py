@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 
 import streamtopk.bench as bench_mod
-from streamtopk import (IncrementalTopKEngine, QueryConfig, StreamConfig,
-                        VerificationError, Vocabulary, WindowPolicy,
-                        generate_queries, generate_stream, run_benchmark, sweep)
+from streamtopk import (IncrementalTopKEngine, StreamConfig, Vocabulary,
+                        WindowPolicy, generate_stream)
+from streamtopk.bench import VerificationError, run_benchmark, sweep
+from streamtopk.genstream import QueryConfig, generate_queries
 
 
 def _workload(n_docs=80, n_queries=4, vocab=30, seed=1):
@@ -64,7 +65,7 @@ def test_verification_catches_injected_bug(monkeypatch):
 
     real = bench_mod.build_engine
 
-    def sabotage(name, store, feedback, workers=1, k_mult=2):
+    def sabotage(name, store, feedback):
         assert name == "ita"
         return Sabotaged(store, feedback)
 
@@ -132,13 +133,3 @@ def test_sweep_rejects_bad_parameters():
     with pytest.raises(ValueError):
         sweep("n", [3, 2], stream=StreamConfig(), query=QueryConfig(),
               window_n=10, engines=["ita"], measured_events=5)
-
-
-def test_workers_flag_only_valid_for_ita():
-    events, queries = _workload()
-    with pytest.raises(ValueError):
-        run_benchmark("naive", events, queries, WindowPolicy.count_based(10),
-                      workers=2)
-    res = run_benchmark("ita", events, queries, WindowPolicy.count_based(10),
-                        workers=2, verify_every=9)
-    assert res.events_verified > 0

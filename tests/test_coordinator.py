@@ -4,16 +4,21 @@ import pytest
 
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
                         IncrementalTopKEngine, ShardSet, StreamDriver,
-                        WindowPolicy, merge_results)
+                        WindowPolicy)
 from streamtopk.driver import Arrival, Feedback
 
 from helpers import mkdoc, mkquery, random_events, results_equal
 
 
 def test_document_partitioning_by_modulo():
-    shards = ShardSet(DocumentStore(WindowPolicy.count_based(10)), workers=4)
-    assert shards.shard_of(7) == 3
-    assert shards.shard_of(8) == 0
+    store = DocumentStore(WindowPolicy.count_based(10))
+    shards = ShardSet(store, workers=4)
+    driver = StreamDriver(store, shards)
+    driver.process(Arrival(mkdoc(7, {1: 1})))
+    driver.process(Arrival(mkdoc(8, {2: 1})))
+    owners = {tid: [i for i, s in enumerate(shards.shards) if s.index.list_for(tid)]
+              for tid in (1, 2)}
+    assert owners == {1: [3], 2: [0]}
 
 
 def test_single_worker_matches_plain_engine():
@@ -45,9 +50,7 @@ def test_merge_takes_global_best():
     driver.process(Arrival(mkdoc(2, {1: 1})))
     driver.process(Arrival(mkdoc(4, {1: 7})))
     driver.process(Arrival(mkdoc(9, {1: 5})))
-    merged = merge_results("q", shards)
-    assert [(sd.doc_id, sd.score) for sd in merged] == [(4, 7.0), (9, 5.0)]
-    assert all(sd.verified for sd in merged)
+    assert shards.current_result("q") == [(4, 7.0), (9, 5.0)]
 
 
 def test_merge_breaks_score_ties_by_newer_id():

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
                         IncrementalTopKEngine, ShardSet, StreamConfig, StreamDriver,
-                        Vocabulary, WindowPolicy, check_duplicate, cosine,
-                        generate_stream)
-from streamtopk.dedup import DuplicateIndex
+                        Vocabulary, WindowPolicy, generate_stream)
+from streamtopk.dedup import DuplicateIndex, check_duplicate, cosine
 from streamtopk.driver import Arrival, Feedback
 
 from helpers import comp, mkdoc, mkquery
@@ -71,10 +70,17 @@ def test_equal_cosine_prefers_newest():
     assert check_duplicate(d, store, index, DedupConfig()) == 2
 
 
-def test_threshold_above_one_disables_detection():
-    store, index = _window([mkdoc(1, {1: 2})])
-    d = mkdoc(9, {1: 2})
-    assert check_duplicate(d, store, index, DedupConfig(1.0 + 1e-9)) is None
+def test_threshold_outside_unit_interval_is_rejected():
+    for bad in (0.0, -0.5, 1.0 + 1e-9, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            DedupConfig(bad)
+    store, index = _window([mkdoc(1, {1: 2})], threshold=1.0)
+    assert check_duplicate(mkdoc(9, {1: 2}), store, index, DedupConfig(1.0)) == 1
+    # no config is the one way to switch detection off
+    store = DocumentStore(WindowPolicy.count_based(5))
+    driver = StreamDriver(store, IncrementalTopKEngine(store))
+    driver.process(Arrival(mkdoc(1, {1: 2})))
+    assert driver.process(Arrival(mkdoc(2, {1: 2}))).duplicate_of is None
 
 
 def test_duplicates_of_duplicates_resolve_to_originals():
@@ -275,8 +281,9 @@ def test_sharded_and_single_engine_flag_the_same_arrivals():
     events = generate_stream(StreamConfig(rate=200, vocab_size=200, doc_length=(1, 30),
                                           seed=31, n_docs=600, dup_rate=0.3,
                                           dup_backlook=80), vocab)
-    adversarial = [Arrival(mkdoc(701, {t: 1 for t in range(5, 100)})),
-                   Arrival(mkdoc(702, {t: 1 for t in range(100)}))]
+    now = events[-1].doc.arrival_time
+    adversarial = [Arrival(mkdoc(701, {t: 1 for t in range(5, 100)}, t=now)),
+                   Arrival(mkdoc(702, {t: 1 for t in range(100)}, t=now))]
     runs = []
     for engine in (IncrementalTopKEngine, lambda s: ShardSet(s, 2)):
         driver = _driver(n=100, engine=engine)

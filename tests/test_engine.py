@@ -271,19 +271,6 @@ def test_equal_scores_rank_newer_first():
     assert [d for d, _ in eng.current_result("Q")] == [2, 1]
 
 
-# -- result serialization ---------------------------------------------------
-
-def test_entries_verified_before_unverified_and_above_tau():
-    store, eng, driver = _engine()
-    _fill(driver, [mkdoc(i, {1: w}) for i, w in [(1, 5), (2, 4), (3, 3), (4, 2)]])
-    eng.register(mkquery("Q", {1: 1.0}, k=2))
-    entries = eng.result_entries("Q")
-    flags = [e.verified for e in entries]
-    assert flags == sorted(flags, reverse=True)
-    st = eng.state("Q")
-    assert all(e.score >= st.tau for e in entries if not e.verified)
-
-
 # -- safety and economy -----------------------------------------------------
 
 def test_threshold_safety_exhaustive_small():

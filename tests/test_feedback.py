@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from streamtopk import (DocumentStore, FeedbackStore, IncrementalTopKEngine,
-                        StreamDriver, WindowPolicy)
+from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
+                        IncrementalTopKEngine, StreamDriver, WindowPolicy)
 from streamtopk.driver import Arrival, Feedback
 
 from helpers import mkdoc, mkquery, oracle, random_events, results_equal
@@ -43,7 +43,6 @@ def test_feedback_on_expired_doc_is_an_error():
 
 
 def test_feedback_on_duplicate_is_an_error():
-    from streamtopk import DedupConfig
     store, fb, eng, driver = _setup(dedup=DedupConfig(0.9))
     driver.process(Arrival(mkdoc(1, {7: 5})))
     driver.process(Arrival(mkdoc(2, {7: 5})))  # flagged duplicate of 1

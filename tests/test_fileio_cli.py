@@ -72,6 +72,33 @@ def test_non_finite_weights_are_rejected_with_their_line(weight):
     assert err.value.lineno == 2
 
 
+@pytest.mark.parametrize("rating", ["nan", "1.5", "-0.1"])
+def test_bad_feedback_ratings_are_rejected_with_their_line(rating, tmp_path, capsys):
+    text = f"1\t0\t@\ta:1\n!feedback\t1\t{rating}\n"
+    with pytest.raises(StreamFormatError) as err:
+        read_stream(io.StringIO(text), Vocabulary())
+    assert err.value.lineno == 2
+    assert _ingest(tmp_path, text) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second", ["2\t5\t@\ta:1", "1\t108\t@\ta:1"],
+                         ids=["decreasing-timestamp", "repeated-id"])
+def test_out_of_order_arrivals_are_rejected_with_their_line(second, tmp_path, capsys):
+    # a decreasing timestamp (100, 5) or a repeated id, each on line 2
+    text = f"1\t100\t@\ta:1\n{second}\n3\t108\t@\ta:1\n"
+    with pytest.raises(StreamFormatError) as err:
+        read_stream(io.StringIO(text), Vocabulary())
+    assert err.value.lineno == 2
+    assert _ingest(tmp_path, text, "--window", "time", "--n", "10") == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_equal_timestamps_are_accepted():
+    events = read_stream(io.StringIO("1\t7\t@\ta:1\n2\t7\t@\ta:1\n"), Vocabulary())
+    assert [ev.doc.arrival_time for ev in events] == [7, 7]
+
+
 def test_query_file_roundtrip_with_weights():
     vocab = Vocabulary()
     text = "q1\t2\tred,rose:2.5\nq2\t1\tthorn\n"
@@ -93,6 +120,14 @@ def test_query_file_rejects_duplicates_and_bad_k():
 
 
 # -- CLI ----------------------------------------------------------------------
+
+def _ingest(tmp_path, stream_text, *flags):
+    stream = tmp_path / "s.tsv"
+    stream.write_text(stream_text)
+    qfile = tmp_path / "q.tsv"
+    qfile.write_text("q1\t1\ta\n")
+    return run_cli(["ingest", "--stream", str(stream), "--queries", str(qfile), *flags])
+
 
 def test_gen_ingest_roundtrip(tmp_path):
     stream = tmp_path / "stream.tsv"
@@ -168,12 +203,15 @@ def test_config_errors_exit_one(tmp_path):
     base = ["ingest", "--stream", str(stream), "--queries", str(qfile)]
     assert run_cli(base + ["--n", "0"]) == 1
     assert run_cli(base + ["--engine", "naive", "--workers", "2"]) == 1
+    assert run_cli(base + ["--workers", "2"]) == 1  # no such flag
+    assert run_cli(base + ["--dedup-threshold", "1.5"]) == 1
+    assert run_cli(base + ["--dedup-threshold", "nan"]) == 1
     assert run_cli(base + ["--engine", "bogus"]) == 1  # argparse choice
 
 
 def test_verification_mismatch_exits_three(tmp_path, monkeypatch):
     import streamtopk.cli as cli_mod
-    from streamtopk import VerificationError
+    from streamtopk.bench import VerificationError
 
     def boom(*args, **kwargs):
         raise VerificationError(3, "q1", [(1, 1.0)], [])

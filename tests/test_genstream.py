@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from streamtopk import (QueryConfig, StreamConfig, Vocabulary, generate_queries,
-                        generate_stream)
+from streamtopk import StreamConfig, Vocabulary, generate_stream
+from streamtopk.genstream import QueryConfig, generate_queries
 from streamtopk.fileio import write_stream
 
 

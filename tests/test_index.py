@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamtopk import (DocumentStore, InvertedList, TermIndex, ThresholdTree,
-                        WindowPolicy, evict_expired, insert_document,
-                        probe_thresholds, set_local_threshold)
+from streamtopk import DocumentStore, WindowPolicy
+from streamtopk.index import InvertedList, TermIndex, ThresholdTree
 
 from helpers import mkdoc
 
@@ -19,6 +18,18 @@ def test_count_window_caps_size():
     gone = store.evict_due(4)
     assert [d.id for d in gone] == [1]
     assert len(store) == 3
+
+
+def test_decreasing_timestamp_rejected_before_any_change():
+    store = DocumentStore(WindowPolicy.time_based(10))
+    store.insert(mkdoc(1, {1: 1}, t=100))
+    with pytest.raises(ValueError):
+        store.insert(mkdoc(2, {1: 1}, t=5))
+    assert [d.id for d in store.documents()] == [1] and 2 not in store
+    store.insert(mkdoc(3, {1: 1}, t=108))
+    store.insert(mkdoc(4, {1: 1}, t=108))  # equal timestamps are fine
+    assert store.evict_due(108) == []
+    assert [d.id for d in store.evict_due(110)] == [1]
 
 
 def test_count_window_fifo_single_slot():
@@ -114,38 +125,38 @@ def test_probe_returns_thresholds_at_or_below_weight():
     tree = ThresholdTree()
     tree.insert("Q1", 0.5)
     tree.insert("Q2", 0.8)
-    assert probe_thresholds(tree, 0.6) == {"Q1"}
-    assert probe_thresholds(tree, 0.8) == {"Q1", "Q2"}
-    assert probe_thresholds(tree, 0.1) == set()
+    assert set(tree.probe(0.6)) == {"Q1"}
+    assert set(tree.probe(0.8)) == {"Q1", "Q2"}
+    assert set(tree.probe(0.1)) == set()
 
 
 def test_set_local_threshold_moves_query():
     tree = ThresholdTree()
     tree.insert("Q1", 0.5)
-    set_local_threshold(tree, "Q1", 0.5, 0.9)
-    assert probe_thresholds(tree, 0.6) == set()
-    assert probe_thresholds(tree, 0.9) == {"Q1"}
+    tree.update("Q1", 0.5, 0.9)
+    assert set(tree.probe(0.6)) == set()
+    assert set(tree.probe(0.9)) == {"Q1"}
 
 
 def test_set_identical_threshold_is_noop():
     tree = ThresholdTree()
     tree.insert("Q1", 0.5)
     before = tree.entries()
-    set_local_threshold(tree, "Q1", 0.5, 0.5)
+    tree.update("Q1", 0.5, 0.5)
     assert tree.entries() == before
 
 
 def test_zero_threshold_matches_every_positive_weight():
     tree = ThresholdTree()
     tree.insert("Q1", 0.0)
-    assert probe_thresholds(tree, 1e-12) == {"Q1"}
+    assert set(tree.probe(1e-12)) == {"Q1"}
 
 
 def test_unknown_query_threshold_update_fails():
     tree = ThresholdTree()
     tree.insert("Q1", 0.5)
     with pytest.raises(KeyError):
-        set_local_threshold(tree, "Q9", 0.5, 0.7)
+        tree.update("Q9", 0.5, 0.7)
 
 
 # -- index consistency ------------------------------------------------------
@@ -171,10 +182,22 @@ def _check_index_consistency(store, index):
     assert {t: set(v) for t, v in seen.items()} == expected
 
 
+def _insert(store, index, doc):
+    store.insert(doc)
+    index.add_document(doc)
+
+
+def _evict(store, index, now):
+    expired = store.evict_due(now)
+    for doc in expired:
+        index.remove_document(doc)
+    return expired
+
+
 def test_insert_document_indexes_each_distinct_term():
     store = DocumentStore(WindowPolicy.count_based(10))
     index = TermIndex()
-    insert_document(store, index, mkdoc(1, {3: 2, 7: 1}))
+    _insert(store, index, mkdoc(1, {3: 2, 7: 1}))
     assert len(index.list_for(3)) == 1
     assert len(index.list_for(7)) == 1
     _check_index_consistency(store, index)
@@ -183,8 +206,8 @@ def test_insert_document_indexes_each_distinct_term():
 def test_duplicate_gets_window_slot_but_no_entries():
     store = DocumentStore(WindowPolicy.count_based(10))
     index = TermIndex()
-    insert_document(store, index, mkdoc(7, {3: 2}))
-    insert_document(store, index, mkdoc(8, {3: 2}, dup=7))
+    _insert(store, index, mkdoc(7, {3: 2}))
+    _insert(store, index, mkdoc(8, {3: 2}, dup=7))
     assert len(store) == 2
     assert len(index.list_for(3)) == 1
     _check_index_consistency(store, index)
@@ -193,8 +216,8 @@ def test_duplicate_gets_window_slot_but_no_entries():
 def test_evict_expired_deindexes():
     store = DocumentStore(WindowPolicy.time_based(10))
     index = TermIndex()
-    insert_document(store, index, mkdoc(1, {3: 2}, t=0))
-    gone = evict_expired(store, index, now=11)
+    _insert(store, index, mkdoc(1, {3: 2}, t=0))
+    gone = _evict(store, index, now=11)
     assert [d.id for d in gone] == [1]
     assert index.list_for(3) is None  # term entry garbage-collected
     _check_index_consistency(store, index)
@@ -211,6 +234,6 @@ def test_index_consistent_under_random_interleaving():
         if rng.random() < 0.2 and len(store):
             cand = rng.choice([d.id for d in store.documents()])
             dup = cand if cand < i else None
-        insert_document(store, index, mkdoc(i, pairs, dup=dup))
-        evict_expired(store, index, now=i)
+        _insert(store, index, mkdoc(i, pairs, dup=dup))
+        _evict(store, index, now=i)
         _check_index_consistency(store, index)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from streamtopk import CompositionList, Document, Query, Vocabulary, score, tokenize
-from streamtopk.model import load_stopwords
+from streamtopk import Document, Query, Vocabulary, tokenize
+from streamtopk.model import CompositionList, load_stopwords, score
 
 from helpers import comp, mkdoc, mkquery
 
@@ -123,7 +123,7 @@ def test_vocabulary_ids_stable():
     a = vocab.intern("alpha")
     b = vocab.intern("beta")
     assert vocab.intern("alpha") == a
-    assert vocab.term(b).text == "beta"
+    assert vocab.token(b) == "beta"
     assert len(vocab) == 2
 
 
