@@ -17,6 +17,35 @@ from .index import DocumentStore
 from .model import Document, Query, QueryId, ScoredDoc, dot_score
 
 
+def _window(store: DocumentStore) -> list[tuple[int, dict[int, float]]]:
+    """(id, term weights) of every windowed non-duplicate document."""
+    return [(d.id, d.composition.weights) for d in store.documents()
+            if d.duplicate_of is None]
+
+
+def _rescan(items: tuple[tuple[int, float], ...], k: int,
+            window: list[tuple[int, dict[int, float]]],
+            feedback: FeedbackStore | None) -> list[tuple[int, float]]:
+    """The top k of ``window`` for one query as (doc id, score), best first."""
+    factors = feedback.factors if feedback else None
+    best: list[tuple[float, int]] = []
+    for did, weights in window:
+        # dot_score's sum, inlined: this loop is the naive engine's whole cost
+        s = 0.0
+        for tid, wq in items:
+            w = weights.get(tid)
+            if w is not None:
+                s += wq * w
+        if s <= 0.0:
+            continue
+        if factors:
+            f = factors.get(did)
+            if f is not None:
+                s *= f
+        best.append((s, did))
+    return [(did, s) for s, did in nlargest(k, best)]
+
+
 def naive_top_k(query: Query, store: DocumentStore,
                 feedback: FeedbackStore | None = None,
                 k: int | None = None) -> list[ScoredDoc]:
@@ -25,24 +54,8 @@ def naive_top_k(query: Query, store: DocumentStore,
     Duplicates and zero-score documents are never results; ties break toward
     the newer document.
     """
-    if k is None:
-        k = query.k
-    items = query.items
-    factors = feedback.factors if feedback else None
-    best: list[tuple[float, int]] = []
-    for doc in store.documents():
-        if doc.duplicate_of is not None:
-            continue
-        s = dot_score(items, doc.composition.weights)
-        if s <= 0.0:
-            continue
-        if factors:
-            f = factors.get(doc.id)
-            if f is not None:
-                s *= f
-        best.append((s, doc.id))
-    top = nlargest(k, best)
-    return [ScoredDoc(did, s, True) for s, did in top]
+    top = _rescan(query.items, query.k if k is None else k, _window(store), feedback)
+    return [ScoredDoc(did, s, True) for did, s in top]
 
 
 class FullRescanEngine:
@@ -59,7 +72,7 @@ class FullRescanEngine:
         if query.id in self._queries:
             raise ValueError(f"query id {query.id!r} already registered")
         self._queries[query.id] = query
-        self._results[query.id] = self._compute(query)
+        self._results[query.id] = self._compute(query, _window(self.store))
 
     def unregister(self, qid: QueryId) -> None:
         if qid not in self._queries:
@@ -67,9 +80,10 @@ class FullRescanEngine:
         del self._queries[qid]
         del self._results[qid]
 
-    def _compute(self, query: Query) -> list[tuple[int, float]]:
+    def _compute(self, query: Query,
+                 window: list[tuple[int, dict[int, float]]]) -> list[tuple[int, float]]:
         self.rescan_count += 1
-        return [(sd.doc_id, sd.score) for sd in naive_top_k(query, self.store, self.feedback)]
+        return _rescan(query.items, query.k, window, self.feedback)
 
     def apply_arrival(self, doc: Document) -> set[QueryId]:
         return set()
@@ -82,33 +96,13 @@ class FullRescanEngine:
 
     def finalize_event(self) -> set[QueryId]:
         """The per-event full rescan; this is the measured cost of this engine."""
-        store = self.store
-        factors = self.feedback.factors if self.feedback else None
-        docs = [(d.id, d.composition.weights) for d in store.documents()
-                if d.duplicate_of is None]
+        window = _window(self.store)
         changed: set[QueryId] = set()
         for qid, query in self._queries.items():
-            items = query.items
-            best: list[tuple[float, int]] = []
-            for did, weights in docs:
-                s = 0.0
-                for tid, wq in items:
-                    w = weights.get(tid)
-                    if w is not None:
-                        s += wq * w
-                if s <= 0.0:
-                    continue
-                if factors:
-                    f = factors.get(did)
-                    if f is not None:
-                        s *= f
-                best.append((s, did))
-            top = nlargest(query.k, best)
-            result = [(did, s) for s, did in top]
+            result = self._compute(query, window)
             if result != self._results[qid]:
                 changed.add(qid)
             self._results[qid] = result
-        self.rescan_count += len(self._queries)
         return changed
 
     def current_result(self, qid: QueryId) -> list[tuple[int, float]]:

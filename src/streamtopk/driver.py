@@ -68,9 +68,16 @@ class StreamDriver:
         self.engine.unregister(qid)
 
     def process(self, event: StreamEvent) -> EventOutcome:
-        if isinstance(event, Feedback):
-            return self._process_feedback(event)
-        return self._process_arrival(event)
+        """Apply one event. A data error names the event's stream line, if
+        it has one."""
+        try:
+            if isinstance(event, Feedback):
+                return self._process_feedback(event)
+            return self._process_arrival(event)
+        except ValueError as exc:
+            if event.lineno is None:
+                raise
+            raise ValueError(f"line {event.lineno}: {exc}") from exc
 
     def _process_arrival(self, event: Arrival) -> EventOutcome:
         doc = event.doc

@@ -14,7 +14,11 @@ local threshold belongs to an already-scored candidate. Searches therefore
 descend inverted lists one equal-weight run at a time (so thresholds always
 sit on run boundaries), and a search may stop only once no unscored document
 could still displace the current k-th result -- including displacement by
-the newer-document tie-break on equal scores. Candidates are retained even
+the newer-document tie-break on equal scores. Each inverted list is stored
+as exactly these runs (distinct weights heaviest first, ids ascending within
+a run): a search resumes at a stored threshold by bisecting the list's
+weights, pops a run whole, and reads the run's newest document, the one the
+tie-break bound needs, from its last id. Candidates are retained even
 when they score below the influence threshold; dropping them would make
 later refills inexact once thresholds descend again.
 """
@@ -37,11 +41,10 @@ class QueryState:
     candidates sorted by (score desc, doc id desc); the first k entries are
     the verified result. ``thresholds`` maps each query term to its current
     local threshold, which doubles as the value-based resume position of the
-    last search (the list position is recovered by bisecting for it).
+    last search (the run to resume from is recovered by bisecting for it).
     """
 
-    __slots__ = ("query", "k", "items", "cand_keys", "scores", "thresholds",
-                 "tau", "searched")
+    __slots__ = ("query", "k", "items", "cand_keys", "scores", "thresholds")
 
     def __init__(self, query: Query):
         self.query = query
@@ -50,8 +53,6 @@ class QueryState:
         self.cand_keys: list[tuple[float, int]] = []
         self.scores: dict[int, float] = {}
         self.thresholds: dict[int, float] = {}
-        self.tau = 0.0
-        self.searched = False
 
     @property
     def s_k(self) -> float | None:
@@ -271,26 +272,17 @@ class IncrementalTopKEngine:
         scores = st.scores
         qid = st.query.id
 
-        lists: list = []
-        pos: list[int] = []
-        size: list[int] = []
-        wqs: list[float] = []
-        tids: list[int] = []
-        for tid, wq in st.items:
+        tids = [tid for tid, _ in st.items]
+        wqs = [wq for _, wq in st.items]
+        weights: list = []  # per term: the list's distinct weights, heaviest first
+        runs: list = []     # per term: the id runs at those weights
+        at: list[int] = []  # per term: index of the next run to pop
+        thresholds = st.thresholds  # empty until the first search
+        for tid in tids:
             lst = index.list_for(tid)
-            tids.append(tid)
-            wqs.append(wq)
-            if lst is None:
-                lists.append(None)
-                pos.append(0)
-                size.append(0)
-                continue
-            lists.append(lst)
-            if st.searched:
-                pos.append(lst.pos_weight_below(st.thresholds[tid]))
-            else:
-                pos.append(0)
-            size.append(len(lst))
+            weights.append(lst.weights if lst else ())
+            runs.append(lst.runs if lst else ())
+            at.append(lst.run_at_or_below(thresholds[tid]) if lst and thresholds else 0)
 
         nterms = len(tids)
         while True:
@@ -299,13 +291,12 @@ class IncrementalTopKEngine:
             best = -1
             best_c = 0.0
             for i in range(nterms):
-                p = pos[i]
-                if p >= size[i]:
+                r = at[i]
+                if r >= len(weights[i]):
                     continue
-                lst = lists[i]
-                c = wqs[i] * lst.weight_at(p)
+                c = wqs[i] * weights[i][r]
                 tau_g += c
-                fid = lst.doc_at(p)
+                fid = runs[i][r][-1]  # the run's newest document
                 if min_fid is None or fid < min_fid:
                     min_fid = fid
                 if c > best_c:
@@ -319,13 +310,10 @@ class IncrementalTopKEngine:
                 if s_k > tau_g or (s_k == tau_g and -kth[1] > min_fid):
                     break
             # pop the whole equal-weight run at the chosen frontier
-            lst = lists[best]
-            start = pos[best]
-            end = lst.run_end(start)
-            pos[best] = end
-            self.stats["pops"] += end - start
-            for p in range(start, end):
-                did = lst.doc_at(p)
+            run = runs[best][at[best]]
+            at[best] += 1
+            self.stats["pops"] += len(run)
+            for did in run:
                 if self.trace_pops:
                     self.pop_log.append((tids[best], did))
                 if did in scores:
@@ -344,17 +332,12 @@ class IncrementalTopKEngine:
 
         frontier = {}
         for i in range(nterms):
-            if pos[i] < size[i]:
-                frontier[tids[i]] = lists[i].weight_at(pos[i])
-            else:
-                frontier[tids[i]] = 0.0
-        st.searched = True
+            frontier[tids[i]] = weights[i][at[i]] if at[i] < len(weights[i]) else 0.0
         self._retune(st, frontier)
 
     def _retune(self, st: QueryState, base: dict[int, float]) -> None:
         """Roll local thresholds up from ``base`` while their weighted sum
-        stays within the k-th score, then install them and the resulting
-        influence threshold.
+        stays within the k-th score, then install them.
 
         Queries with fewer than k matches keep zero thresholds so every
         relevant arrival is evaluated.
@@ -362,7 +345,6 @@ class IncrementalTopKEngine:
         k = st.k
         if len(st.cand_keys) < k:
             new = dict.fromkeys(base, 0.0)
-            tau = 0.0
         else:
             s_k = -st.cand_keys[k - 1][0]
             new = base
@@ -387,7 +369,6 @@ class IncrementalTopKEngine:
                 nxt = self.index.list_for(tid).next_weight_above(target)
                 if nxt is not None:
                     heappush(heap, (tw[tid] * (nxt - target), tid, nxt))
-            tau = r
 
         qid = st.query.id
         old = st.thresholds
@@ -398,4 +379,3 @@ class IncrementalTopKEngine:
             elif prev != theta:
                 self.index.entry(tid).tree.update(qid, prev, theta)
         st.thresholds = new
-        st.tau = tau

@@ -1,9 +1,11 @@
 """Sliding-window document store, impact-ordered inverted lists, and
 per-term threshold registries.
 
-Inverted lists keep (weight desc, doc id desc) order under logarithmic-time
-insertion and deletion; internally each entry is stored as the negated key
-``(-weight, -doc_id)`` so plain ``bisect`` gives the right order. Threshold
+An inverted list is stored as the unit the top-k search pops: one run of
+document ids per distinct impact weight, runs heaviest first, ids ascending
+within a run. An arrival appends to its run and a FIFO expiry removes a
+run's head; only a feedback re-weight moves an id in the middle of a run.
+``bisect`` on the short list of distinct weights finds a run. Threshold
 trees are sorted parallel arrays probed with ``bisect`` as well.
 """
 
@@ -12,14 +14,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Iterator
 
 from .model import Document, QueryId
 
 COUNT_BASED = "count"
 TIME_BASED = "time"
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -104,57 +105,61 @@ class DocumentStore:
 
 
 class InvertedList:
-    """Impact entries for one term, ordered by (weight desc, doc id desc)."""
+    """Impact entries for one term, grouped into equal-weight runs.
 
-    __slots__ = ("_keys",)
+    ``weights`` holds the term's distinct weights, heaviest first, and
+    ``runs[i]`` the ids of the documents indexed at ``weights[i]``, in
+    ascending id order. No run is empty.
+    """
+
+    __slots__ = ("weights", "runs")
 
     def __init__(self) -> None:
-        self._keys: list[tuple[float, float]] = []  # (-weight, -doc_id)
+        self.weights: list[float] = []
+        self.runs: list[list[int]] = []
+
+    def run_at_or_below(self, weight: float) -> int:
+        """Index of the first run whose weight is <= ``weight`` (the resume
+        position for a stored threshold); ``len(weights)`` if none is."""
+        return bisect_left(self.weights, -weight, key=neg)
 
     def insert(self, doc_id: int, weight: float) -> None:
         if weight <= 0:
             raise ValueError("impact weights must be positive")
-        insort(self._keys, (-weight, -doc_id))
+        i = self.run_at_or_below(weight)
+        if i < len(self.weights) and self.weights[i] == weight:
+            insort(self.runs[i], doc_id)  # an arrival's id is the largest: appends
+        else:
+            self.weights.insert(i, weight)
+            self.runs.insert(i, [doc_id])
 
     def remove(self, doc_id: int, weight: float) -> None:
-        key = (-weight, -doc_id)
-        pos = bisect_left(self._keys, key)
-        if pos == len(self._keys) or self._keys[pos] != key:
-            raise KeyError(f"no impact entry ({doc_id}, {weight}) in list")
-        del self._keys[pos]
+        i = self.run_at_or_below(weight)
+        if i < len(self.weights) and self.weights[i] == weight:
+            run = self.runs[i]
+            j = bisect_left(run, doc_id)  # an expiring id is the smallest: j == 0
+            if j < len(run) and run[j] == doc_id:
+                del run[j]
+                if not run:
+                    del self.weights[i]
+                    del self.runs[i]
+                return
+        raise KeyError(f"no impact entry ({doc_id}, {weight}) in list")
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return sum(map(len, self.runs))
 
     def __bool__(self) -> bool:
-        return bool(self._keys)
-
-    def weight_at(self, pos: int) -> float:
-        return -self._keys[pos][0]
-
-    def doc_at(self, pos: int) -> int:
-        return int(-self._keys[pos][1])
-
-    def run_end(self, pos: int) -> int:
-        """Index one past the last entry sharing ``pos``'s weight."""
-        w = self._keys[pos][0]
-        return bisect_right(self._keys, (w, 0.0), lo=pos)
-
-    def pos_weight_below(self, weight: float) -> int:
-        """First position whose weight is <= ``weight`` (start of the resume
-        region for a stored threshold)."""
-        return bisect_left(self._keys, (-weight, _NEG_INF))
+        return bool(self.weights)
 
     def next_weight_above(self, weight: float) -> float | None:
         """Smallest entry weight strictly greater than ``weight``, if any."""
-        pos = bisect_left(self._keys, (-weight, _NEG_INF))
-        if pos == 0:
-            return None
-        return -self._keys[pos - 1][0]
+        i = self.run_at_or_below(weight)
+        return self.weights[i - 1] if i else None
 
     def entries(self) -> list[tuple[int, float]]:
-        """(doc_id, weight) pairs in list order; mainly for tests."""
-        return [(int(-nid), -nw) for nw, nid in self._keys]
+        """(doc_id, weight) pairs by weight desc, doc id desc; mainly for tests."""
+        return [(did, w) for w, run in zip(self.weights, self.runs) for did in reversed(run)]
 
 
 class ThresholdTree:

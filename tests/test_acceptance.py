@@ -10,6 +10,8 @@ import math
 import random
 import time
 
+import pytest
+
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
                         IncrementalTopKEngine, Query, ShardSet, StreamConfig,
                         StreamDriver, Vocabulary, WindowPolicy, generate_stream,
@@ -21,6 +23,8 @@ from streamtopk.fileio import write_stream
 from streamtopk.genstream import QueryConfig, generate_queries, token_for
 
 from helpers import results_equal
+
+pytestmark = pytest.mark.slow
 
 
 def _mixed_length_queries(rng, count, n_range, k, vocab_size, vocab):

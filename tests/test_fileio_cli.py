@@ -195,6 +195,17 @@ def test_ingest_reports_data_error_with_line(tmp_path, capsys):
     assert "line 17" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stream, flags, message", [
+    ("1\t0\t@\ta:1\n!feedback\t5\t0.5\n", (),
+     "line 2: feedback for unknown or expired document 5"),
+    ("1\t0\t@\ta:1\n2\t1\t@\ta:1\n!feedback\t2\t0.5\n", ("--dedup-threshold", "0.9"),
+     "line 3: document 2 is a duplicate; feedback rejected"),
+], ids=["unknown-document", "duplicate"])
+def test_ingest_names_the_line_of_a_replay_error(stream, flags, message, tmp_path, capsys):
+    assert _ingest(tmp_path, stream, *flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_errors_exit_one(tmp_path):
     stream = tmp_path / "s.tsv"
     stream.write_text("1\t0\t@\ta:1\n")

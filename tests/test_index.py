@@ -96,27 +96,62 @@ def test_inverted_list_sorted_under_random_ops(pairs):
     lst = InvertedList()
     rng = random.Random(42)
     live = []
+
+    def check():
+        entries = lst.entries()
+        assert entries == sorted(entries, key=lambda e: (-e[1], -e[0]))
+        assert sorted(e[0] for e in entries) == sorted(d for d, _ in live)
+        assert len(lst) == len(entries)
+        assert len(lst.weights) == len(lst.runs) and all(lst.runs)  # no empty run
+
     for did, w in pairs:
         lst.insert(did, float(w))
         live.append((did, float(w)))
         if rng.random() < 0.3 and live:
             gone = live.pop(rng.randrange(len(live)))
             lst.remove(*gone)
-        entries = lst.entries()
-        assert entries == sorted(entries, key=lambda e: (-e[1], -e[0]))
-        assert sorted(e[0] for e in entries) == sorted(d for d, _ in live)
+        check()
+    while live:
+        lst.remove(*live.pop(rng.randrange(len(live))))
+        check()
+    assert not lst and lst.weights == [] and lst.runs == []
 
 
-def test_run_end_and_weight_navigation():
+def test_run_navigation():
     lst = InvertedList()
     for did, w in [(1, 5.0), (2, 4.0), (3, 4.0), (4, 2.0)]:
         lst.insert(did, w)
-    assert lst.run_end(0) == 1          # the lone 5.0
-    assert lst.run_end(1) == 3          # both 4.0 entries
-    assert lst.pos_weight_below(4.0) == 1
-    assert lst.pos_weight_below(1.0) == 4
+    # run boundaries: the lone 5.0, both 4.0 entries, the lone 2.0
+    assert lst.weights == [5.0, 4.0, 2.0]
+    assert lst.runs == [[1], [2, 3], [4]]
+    # the first run at or below a weight
+    assert lst.run_at_or_below(6.0) == 0
+    assert lst.run_at_or_below(5.0) == 0
+    assert lst.run_at_or_below(4.5) == 1
+    assert lst.run_at_or_below(4.0) == 1
+    assert lst.run_at_or_below(3.0) == 2
+    assert lst.run_at_or_below(1.0) == 3  # past the last run
     assert lst.next_weight_above(2.0) == 4.0
+    assert lst.next_weight_above(4.5) == 5.0
+    assert lst.next_weight_above(0.0) == 2.0
     assert lst.next_weight_above(5.0) is None
+
+
+def test_run_created_and_emptied_only_at_its_weight():
+    lst = InvertedList()
+    lst.insert(1, 4.0)
+    lst.insert(3, 4.0)
+    lst.insert(2, 4.0)  # a middle insert, as a feedback re-weight makes
+    assert lst.runs == [[1, 2, 3]] and len(lst) == 3
+    lst.remove(1, 4.0)  # FIFO expiry takes the run's head
+    lst.insert(5, 6.0)
+    assert lst.weights == [6.0, 4.0] and lst.runs == [[5], [2, 3]]
+    with pytest.raises(KeyError):
+        lst.remove(2, 5.0)  # no run at that weight
+    with pytest.raises(KeyError):
+        lst.remove(4, 4.0)  # not in the run
+    lst.remove(5, 6.0)
+    assert lst.weights == [4.0] and lst.runs == [[2, 3]]
 
 
 # -- threshold trees --------------------------------------------------------
