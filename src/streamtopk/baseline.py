@@ -55,7 +55,7 @@ def naive_top_k(query: Query, store: DocumentStore,
     the newer document.
     """
     top = _rescan(query.items, query.k if k is None else k, _window(store), feedback)
-    return [ScoredDoc(did, s, True) for did, s in top]
+    return [ScoredDoc(did, s) for did, s in top]
 
 
 class FullRescanEngine:

@@ -98,7 +98,7 @@ class _Replay:
             self.engine.register(q)
         for ev in events[:prefill]:
             self.driver.process(ev)
-        if prefill and engine_name in ("naive", "naive-kmax"):
+        if prefill:
             self.engine.finalize_event()
         self.pending = events[prefill:]
         self.records: list[MetricsRecord] = []

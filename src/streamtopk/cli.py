@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from .bench import (ENGINE_NAMES, VerificationError, run_benchmark, sweep)
 from .dedup import DedupConfig
@@ -120,6 +121,19 @@ def _dedup_config(args) -> DedupConfig | None:
     return DedupConfig(args.dedup_threshold)
 
 
+def _open_outputs(outputs: ExitStack, *paths: str | None) -> list | None:
+    """Open each given path for writing (None where none is given) before
+    any work starts, so an unwritable path fails before a long replay rather
+    than after it. Prints the error and returns None when one cannot be
+    opened."""
+    try:
+        return [outputs.enter_context(open(p, "w", newline="", encoding="utf-8"))
+                if p else None for p in paths]
+    except OSError as exc:
+        print(f"streamtopk: cannot write output: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_gen(args) -> int:
     stream_cfg = StreamConfig(
         rate=args.rate, duration=args.duration, vocab_size=args.vocab,
@@ -143,10 +157,10 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args, outputs: ExitStack) -> int:
     vocab = Vocabulary()
-    stopwords = load_stopwords(args.stopwords)
     try:
+        stopwords = load_stopwords(args.stopwords)
         with open(args.stream, encoding="utf-8") as fh:
             events = read_stream(fh, vocab, stopwords)
         with open(args.queries, encoding="utf-8") as fh:
@@ -165,6 +179,10 @@ def _cmd_ingest(args) -> int:
     except ValueError as exc:
         print(f"streamtopk: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    files = _open_outputs(outputs, args.out, args.metrics)
+    if files is None:
+        return EXIT_CONFIG
+    out_fh, metrics_fh = files
 
     try:
         result = run_benchmark(
@@ -177,12 +195,10 @@ def _cmd_ingest(args) -> int:
         print(f"streamtopk: {args.stream}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_results(fh, result.final_results)
-    if args.metrics:
-        with open(args.metrics, "w", newline="", encoding="utf-8") as fh:
-            write_metrics(fh, result.records)
+    if out_fh:
+        write_results(out_fh, result.final_results)
+    if metrics_fh:
+        write_metrics(metrics_fh, result.records)
     print(f"processed {len(events)} events; mean {result.mean_micros:.1f} us/event, "
           f"p95 {result.p95_micros:.1f} us")
     return EXIT_OK
@@ -201,7 +217,7 @@ def _parse_sweep(text: str | None, default_n: int) -> tuple[str, list[int]]:
     return param, values
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, outputs: ExitStack) -> int:
     try:
         param, values = _parse_sweep(args.sweep, args.n)
         engines = [e.strip() for e in args.engines.split(",") if e.strip()]
@@ -220,6 +236,10 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"streamtopk: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    files = _open_outputs(outputs, args.summary, args.metrics)
+    if files is None:
+        return EXIT_CONFIG
+    summary_fh, metrics_fh = files
 
     try:
         points = sweep(param, values, stream=stream_cfg, query=query_cfg,
@@ -232,14 +252,9 @@ def _cmd_bench(args) -> int:
         return EXIT_VERIFY
 
     rows = [(p.value, p.engine, p.mean_micros, p.p95_micros) for p in points]
-    if args.summary:
-        with open(args.summary, "w", newline="", encoding="utf-8") as fh:
-            write_summary(fh, rows)
-    else:
-        write_summary(sys.stdout, rows)
-    if args.metrics:
-        with open(args.metrics, "w", newline="", encoding="utf-8") as fh:
-            write_metrics(fh, points[0].result.records)
+    write_summary(summary_fh or sys.stdout, rows)
+    if metrics_fh:
+        write_metrics(metrics_fh, points[0].result.records)
     return EXIT_OK
 
 
@@ -247,9 +262,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "gen":
         return _cmd_gen(args)
-    if args.command == "ingest":
-        return _cmd_ingest(args)
-    return _cmd_bench(args)
+    with ExitStack() as outputs:
+        if args.command == "ingest":
+            return _cmd_ingest(args, outputs)
+        return _cmd_bench(args, outputs)
 
 
 if __name__ == "__main__":

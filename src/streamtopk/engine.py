@@ -21,6 +21,13 @@ weights, pops a run whole, and reads the run's newest document, the one the
 tie-break bound needs, from its last id. Candidates are retained even
 when they score below the influence threshold; dropping them would make
 later refills inexact once thresholds descend again.
+
+A candidate enters a query's state only through ``_admit`` and leaves only
+through ``_drop``. Arrival and feedback share one rescore step: probe the
+threshold trees with the document's boosted weights, then score each hit
+(and, for feedback, each query already holding the document) once. Every
+weight is boosted by the :class:`FeedbackStore` factor; an engine built
+without a store makes an empty one, whose factors are all 1.
 """
 
 from __future__ import annotations
@@ -76,13 +83,11 @@ class IncrementalTopKEngine:
 
     def __init__(self, store: DocumentStore, feedback: FeedbackStore | None = None):
         self.store = store
-        self.feedback = feedback
+        self.feedback = feedback if feedback is not None else FeedbackStore()
         self.index = TermIndex()
         self._states: dict[QueryId, QueryState] = {}
         self._rev: dict[int, set[QueryId]] = {}
         self.stats = {"pops": 0, "score_computations": 0, "expansions": 0}
-        self.trace_pops = False
-        self.pop_log: list[tuple[int, int]] = []
         self.last_scored: dict[QueryId, int] = {}
 
     # -- query registry ----------------------------------------------------
@@ -127,45 +132,14 @@ class IncrementalTopKEngine:
 
         Returns the ids of queries whose verified top-k changed. The caller
         has already resolved duplicate detection and inserted the document
-        into the shared store.
+        into the shared store. A duplicate is indexed but scored for no query.
         """
-        factor = self.feedback.factor(doc.id) if self.feedback else 1.0
+        factor = self.feedback.factor(doc.id)
         self.index.add_document(doc, factor)
-        scored: dict[QueryId, int] = {}
-        changed: set[QueryId] = set()
         if doc.is_duplicate:
-            self.last_scored = scored
-            return changed
-
-        weights = doc.composition.weights
-        neg_id = -doc.id
-        for tid, w_raw in doc.composition.pairs:
-            ent = self.index.entry(tid)
-            if ent is None or not ent.tree:
-                continue
-            hits = ent.tree.probe(w_raw * factor)
-            for qid in hits:
-                if qid in scored:
-                    continue
-                scored[qid] = 1
-                st = self._states[qid]
-                s = dot_score(st.items, weights) * factor
-                self.stats["score_computations"] += 1
-                key = (-s, neg_id)
-                pos = bisect_left(st.cand_keys, key)
-                st.cand_keys.insert(pos, key)
-                st.scores[doc.id] = s
-                holders = self._rev.get(doc.id)
-                if holders is None:
-                    holders = self._rev[doc.id] = set()
-                holders.add(qid)
-                if pos < st.k:
-                    changed.add(qid)
-                    if len(st.cand_keys) >= st.k:
-                        # the k-th score rose: tighten thresholds
-                        self._retune(st, dict(st.thresholds))
-        self.last_scored = scored
-        return changed
+            self.last_scored = {}
+            return set()
+        return self._rescore(doc, factor, set())
 
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
         """Handle a batch of expirations from the window head.
@@ -176,69 +150,32 @@ class IncrementalTopKEngine:
         """
         for doc in docs:
             if not doc.is_duplicate:
-                factor = self.feedback.factor(doc.id) if self.feedback else 1.0
-                self.index.remove_document(doc, factor)
-        changed: set[QueryId] = set()
-        needs_refill: list[QueryState] = []
+                self.index.remove_document(doc, self.feedback.factor(doc.id))
+        refill: dict[QueryId, QueryState] = {}
         for doc in docs:
             for qid in self._rev.pop(doc.id, ()):
                 st = self._states[qid]
-                s = st.scores.pop(doc.id)
-                key = (-s, -doc.id)
-                pos = bisect_left(st.cand_keys, key)
-                del st.cand_keys[pos]
-                if pos < st.k:
-                    if qid not in changed:
-                        needs_refill.append(st)
-                    changed.add(qid)
-        for st in needs_refill:
+                if self._drop(st, doc.id) < st.k:
+                    refill[qid] = st
+        for st in refill.values():
             self._expand(st)
-        return changed
+        return set(refill)
 
     def apply_feedback(self, doc: Document, old_factor: float,
                        new_factor: float) -> set[QueryId]:
         """Re-index a document whose boost factor rose and refresh its scores.
 
-        Every query already holding the document is rescored; queries whose
-        thresholds the boosted weights now reach evaluate it for the first
-        time.
+        The rescore step covers every query already holding the document as
+        well as those whose thresholds the boosted weights now reach. A
+        score can only rise, so a result changes only where the document now
+        ranks within the top k.
         """
         if doc.is_duplicate:
             raise ValueError("duplicates carry no feedback")
         if new_factor == old_factor:
             return set()
         self.index.reindex_document(doc, old_factor, new_factor)
-        affected = set(self._rev.get(doc.id, ()))
-        for tid, w_raw in doc.composition.pairs:
-            ent = self.index.entry(tid)
-            if ent is None or not ent.tree:
-                continue
-            for qid in ent.tree.probe(w_raw * new_factor):
-                affected.add(qid)
-
-        changed: set[QueryId] = set()
-        weights = doc.composition.weights
-        for qid in affected:
-            st = self._states[qid]
-            s_new = dot_score(st.items, weights) * new_factor
-            self.stats["score_computations"] += 1
-            old = st.scores.get(doc.id)
-            pos_old = None
-            if old is not None:
-                old_key = (-old, -doc.id)
-                pos_old = bisect_left(st.cand_keys, old_key)
-                del st.cand_keys[pos_old]
-            else:
-                self._rev.setdefault(doc.id, set()).add(qid)
-            key = (-s_new, -doc.id)
-            pos_new = bisect_left(st.cand_keys, key)
-            st.cand_keys.insert(pos_new, key)
-            st.scores[doc.id] = s_new
-            if pos_new < st.k or (pos_old is not None and pos_old < st.k):
-                changed.add(qid)
-                if pos_new < st.k and len(st.cand_keys) >= st.k:
-                    self._retune(st, dict(st.thresholds))
-        return changed
+        return self._rescore(doc, new_factor, set(self._rev.get(doc.id, ())))
 
     def finalize_event(self) -> set[QueryId]:
         """Results are maintained inline; nothing to do per event."""
@@ -252,6 +189,59 @@ class IncrementalTopKEngine:
         return self.state(qid).verified()
 
     # -- search internals ----------------------------------------------------
+
+    def _admit(self, st: QueryState, did: int, score: float, neg_did: int) -> int:
+        """Make ``did`` a candidate of ``st`` at ``score``; returns its rank.
+
+        ``neg_did`` is ``-did``, negated once by the caller so that the keys
+        one document gets in many queries share one int object.
+        """
+        self.stats["score_computations"] += 1
+        key = (-score, neg_did)
+        pos = bisect_left(st.cand_keys, key)
+        st.cand_keys.insert(pos, key)
+        st.scores[did] = score
+        holders = self._rev.get(did)
+        if holders is None:
+            holders = self._rev[did] = set()
+        holders.add(st.query.id)
+        return pos
+
+    def _drop(self, st: QueryState, did: int) -> int:
+        """Remove candidate ``did`` from ``st``; returns the rank it held.
+        The caller keeps ``_rev`` in step."""
+        pos = bisect_left(st.cand_keys, (-st.scores.pop(did), -did))
+        del st.cand_keys[pos]
+        return pos
+
+    def _rescore(self, doc: Document, factor: float, affected: set[QueryId]) -> set[QueryId]:
+        """Score ``doc`` once for every query in ``affected`` or reached by a
+        threshold probe at its weights times ``factor``, replacing any older
+        score; returns the queries whose top-k changed.
+
+        Each query's probe outcome depends only on its own thresholds, so
+        probing every term before any rescore (which may retune the scored
+        query) hits the same queries as interleaving the two.
+        """
+        for tid, w_raw in doc.composition.pairs:
+            ent = self.index.entry(tid)
+            if ent is not None and ent.tree:
+                affected.update(ent.tree.probe(w_raw * factor))
+        changed: set[QueryId] = set()
+        weights = doc.composition.weights
+        did = doc.id
+        neg_did = -did
+        for qid in affected:
+            st = self._states[qid]
+            if did in st.scores:
+                self._drop(st, did)
+            if self._admit(st, did, dot_score(st.items, weights) * factor, neg_did) < st.k:
+                changed.add(qid)
+                if len(st.cand_keys) >= st.k:
+                    # the k-th score rose: tighten thresholds
+                    self._retune(st, dict(st.thresholds))
+        self.last_scored = dict.fromkeys(affected, 1)
+        return changed
 
     def _expand(self, st: QueryState) -> None:
         """Resume (or start) the top-k search until the verified result is
@@ -270,7 +260,6 @@ class IncrementalTopKEngine:
         k = st.k
         cand_keys = st.cand_keys
         scores = st.scores
-        qid = st.query.id
 
         tids = [tid for tid, _ in st.items]
         wqs = [wq for _, wq in st.items]
@@ -314,21 +303,9 @@ class IncrementalTopKEngine:
             at[best] += 1
             self.stats["pops"] += len(run)
             for did in run:
-                if self.trace_pops:
-                    self.pop_log.append((tids[best], did))
-                if did in scores:
-                    continue
-                doc = store.get(did)
-                f = feedback.factor(did) if feedback else 1.0
-                s = dot_score(st.items, doc.composition.weights) * f
-                self.stats["score_computations"] += 1
-                key = (-s, -did)
-                cand_keys.insert(bisect_left(cand_keys, key), key)
-                scores[did] = s
-                holders = self._rev.get(did)
-                if holders is None:
-                    holders = self._rev[did] = set()
-                holders.add(qid)
+                if did not in scores:
+                    s = dot_score(st.items, store.get(did).composition.weights)
+                    self._admit(st, did, s * feedback.factor(did), -did)
 
         frontier = {}
         for i in range(nterms):

@@ -153,7 +153,6 @@ class Query:
 class ScoredDoc:
     doc_id: int
     score: float
-    verified: bool = True
 
     def __post_init__(self) -> None:
         if self.score < 0:
@@ -185,18 +184,10 @@ def dot_score(items: tuple[tuple[int, float], ...], weights: dict[int, float]) -
     return s
 
 
-def score(doc: Document, query: Query) -> float:
-    """Similarity of a document to a query: sum of query-weight * doc-weight
-    over the query's terms. Terms absent from the document contribute zero."""
-    return dot_score(query.items, doc.composition.weights)
-
-
 def load_stopwords(path: str | None) -> frozenset[str]:
-    """Load a one-word-per-line stopword file; a missing path means the empty set."""
+    """Load a one-word-per-line stopword file; no path means the empty set.
+    A path that cannot be read raises ``OSError``."""
     if path is None:
         return frozenset()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return frozenset(line.strip().lower() for line in fh if line.strip())
-    except FileNotFoundError:
-        return frozenset()
+    with open(path, encoding="utf-8") as fh:
+        return frozenset(line.strip().lower() for line in fh if line.strip())

@@ -51,6 +51,23 @@ def test_feedback_on_duplicate_is_an_error():
         driver.process(Feedback(2, 1.0))
 
 
+def test_feedback_rescores_a_holder_the_probe_misses():
+    """Doc 1's boost lifts the k-th score, and with it the threshold, to
+    1.004; doc 2, already held at weight 1, then gets a smaller boost whose
+    1.002 misses the probe. It must be rescored all the same, so that it
+    ranks with its boosted score once doc 1 expires."""
+    store, fb, eng, driver = _setup(n=2)
+    q = mkquery("Q", {7: 1.0}, k=1)
+    eng.register(q)
+    driver.process(Arrival(mkdoc(1, {7: 1})))
+    driver.process(Arrival(mkdoc(2, {7: 1})))
+    driver.process(Feedback(1, 0.02))
+    assert eng.state("Q").thresholds == {7: 1.004}
+    driver.process(Feedback(2, 0.01))
+    driver.process(Arrival(mkdoc(3, {9: 1})))  # doc 1 expires
+    assert eng.current_result("Q") == oracle(q, store, fb) == [(2, 1.002)]
+
+
 def test_ratings_aggregate_by_max():
     store, fb, eng, driver = _setup()
     driver.process(Arrival(mkdoc(1, {7: 5})))

@@ -267,3 +267,35 @@ def test_stopwords_applied_at_ingest(tmp_path):
     assert run_cli(["ingest", "--stream", str(stream), "--queries", str(qfile),
                     "--stopwords", str(stop), "--out", str(out)]) == 0
     assert out.read_text().strip().splitlines() == ["query_id,rank,doc_id,score"]
+
+
+def test_missing_stopwords_file_is_a_config_error(tmp_path, capsys):
+    assert _ingest(tmp_path, "1\t0\tthe rose\n",
+                   "--stopwords", str(tmp_path / "typo.txt")) == 1
+    assert "typo.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, replay", [
+    (["ingest", "--out", "{bad}", "--metrics", "{ok}"], "run_benchmark"),
+    (["ingest", "--metrics", "{bad}"], "run_benchmark"),
+    (["bench", "--summary", "{bad}"], "sweep"),
+    (["bench", "--engines", "ita", "--summary", "{ok}", "--metrics", "{bad}"], "sweep"),
+], ids=["ingest-out", "ingest-metrics", "bench-summary", "bench-metrics"])
+def test_unwritable_output_fails_before_the_replay(command, replay, tmp_path,
+                                                   monkeypatch, capsys):
+    import streamtopk.cli as cli_mod
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("replayed before opening the outputs")
+
+    monkeypatch.setattr(cli_mod, replay, no_replay)
+    paths = {"bad": str(tmp_path / "missing" / "x.csv"), "ok": str(tmp_path / "ok.csv")}
+    args = [a.format(**paths) for a in command]
+    if args[0] == "ingest":
+        stream = tmp_path / "s.tsv"
+        stream.write_text("1\t0\t@\ta:1\n")
+        qfile = tmp_path / "q.tsv"
+        qfile.write_text("q1\t1\ta\n")
+        args += ["--stream", str(stream), "--queries", str(qfile)]
+    assert run_cli(args) == 1
+    assert "streamtopk: cannot write output:" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamtopk import Document, Query, Vocabulary, tokenize
-from streamtopk.model import CompositionList, load_stopwords, score
+from streamtopk.model import CompositionList, dot_score, load_stopwords
 
 from helpers import comp, mkdoc, mkquery
 
@@ -36,19 +36,19 @@ def test_tokenize_canonical_order():
 def test_score_inner_product():
     q = mkquery("q", {1: 1.0, 2: 1.0})
     d = mkdoc(1, {1: 2, 3: 1})
-    assert score(d, q) == 2.0
+    assert dot_score(q.items, d.composition.weights) == 2.0
 
 
 def test_score_no_overlap():
     q = mkquery("q", {1: 1.0})
     d = mkdoc(1, {9: 4})
-    assert score(d, q) == 0.0
+    assert dot_score(q.items, d.composition.weights) == 0.0
 
 
 def test_score_weighted():
     q = mkquery("q", {7: 2.0})
     d = mkdoc(1, {7: 3})
-    assert score(d, q) == 6.0
+    assert dot_score(q.items, d.composition.weights) == 6.0
 
 
 @given(st.dictionaries(st.integers(0, 20), st.integers(1, 5), min_size=1, max_size=8),
@@ -57,7 +57,7 @@ def test_score_matches_bruteforce_intersection(doc_pairs, query_weights):
     d = mkdoc(1, doc_pairs)
     q = mkquery("q", query_weights)
     expected = sum(w * doc_pairs[t] for t, w in query_weights.items() if t in doc_pairs)
-    assert score(d, q) == pytest.approx(expected, abs=1e-12)
+    assert dot_score(q.items, d.composition.weights) == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.dictionaries(st.integers(0, 20), st.integers(1, 5), min_size=1, max_size=8),
@@ -66,7 +66,8 @@ def test_score_linear_in_query_weights(doc_pairs, query_weights):
     d = mkdoc(1, doc_pairs)
     q1 = mkquery("q", query_weights)
     q2 = mkquery("q", {t: 2 * w for t, w in query_weights.items()})
-    assert score(d, q2) == pytest.approx(2 * score(d, q1), rel=1e-12)
+    w = d.composition.weights
+    assert dot_score(q2.items, w) == pytest.approx(2 * dot_score(q1.items, w), rel=1e-12)
 
 
 @given(st.dictionaries(st.text("abcdef", min_size=1, max_size=4),
@@ -127,8 +128,9 @@ def test_vocabulary_ids_stable():
     assert len(vocab) == 2
 
 
-def test_load_stopwords_missing_file_is_empty(tmp_path):
-    assert load_stopwords(str(tmp_path / "nope.txt")) == frozenset()
+def test_load_stopwords_missing_file_raises(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_stopwords(str(tmp_path / "nope.txt"))
     assert load_stopwords(None) == frozenset()
     p = tmp_path / "stop.txt"
     p.write_text("The\nand\n\n")

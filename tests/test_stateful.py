@@ -1,0 +1,119 @@
+"""Stateful oracle test: random interleavings of arrivals, time jumps,
+feedback, and query registration and unregistration, checked against the
+full-rescan oracle and the engine's own invariants after every step.
+
+Windows and vocabularies are small (3-12 documents or ticks, 5 terms, term
+weights 1 or 2), so results turn over, scores tie, thresholds move and
+feedback lands on held candidates often.
+"""
+
+from collections import Counter
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from streamtopk import (DedupConfig, DocumentStore, FeedbackStore, IncrementalTopKEngine,
+                        StreamDriver, WindowPolicy)
+from streamtopk.driver import Arrival, Feedback
+
+from helpers import mkdoc, mkquery, oracle, results_equal
+
+VOCAB = 5
+MAX_QUERIES = 3
+
+# a composition as a base-3 number: digit t is term t's weight (0 = absent)
+compositions = st.integers(1, 3 ** VOCAB - 1).map(
+    lambda code: {t: code // 3 ** t % 3 for t in range(VOCAB) if code // 3 ** t % 3})
+query_weights = st.dictionaries(st.integers(0, VOCAB - 1),
+                                st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.75)),
+                                min_size=1, max_size=3)
+ks = st.integers(1, 3)
+ratings = st.integers(0, 100).map(lambda r: r / 100)  # 2 decimals, as perfbench draws them
+
+
+class EngineMachine(RuleBasedStateMachine):
+    @initialize(kind=st.sampled_from(("count", "time")), n=st.integers(3, 12),
+                dedup=st.booleans(),
+                first=st.lists(st.tuples(query_weights, ks), min_size=1, max_size=2))
+    def setup(self, kind, n, dedup, first):
+        policy = WindowPolicy.count_based(n) if kind == "count" else WindowPolicy.time_based(n)
+        self.store = DocumentStore(policy)
+        self.feedback = FeedbackStore()
+        self.engine = IncrementalTopKEngine(self.store, self.feedback)
+        self.driver = StreamDriver(self.store, self.engine, self.feedback,
+                                   DedupConfig(0.9) if dedup else None)
+        self.queries = {}
+        self.rated: set[int] = set()
+        self.next_id = 1
+        self.next_qid = 0
+        self.now = 0
+        for weights, k in first:
+            self.register(weights, k)
+
+    @rule(pairs=compositions)
+    def arrive(self, pairs):
+        self.driver.process(Arrival(mkdoc(self.next_id, pairs, t=self.now)))
+        self.next_id += 1
+        self.now += 1
+
+    # the window only moves when a document arrives, so a time jump is drawn
+    # together with the arrival that lands after it
+    @rule(jump=st.integers(1, 4), pairs=compositions)
+    def arrive_after_time_jump(self, jump, pairs):
+        self.now += jump
+        self.arrive(pairs)
+
+    @rule(pick=st.integers(0, 10**6), rated_first=st.booleans(), rating=ratings)
+    def rate(self, pick, rated_first, rating):
+        originals = [d.id for d in self.store.documents() if not d.is_duplicate]
+        rated = [did for did in originals if did in self.rated]
+        pool = rated if rated_first and rated else originals
+        if not pool:
+            return
+        did = pool[pick % len(pool)]
+        self.driver.process(Feedback(did, rating))
+        self.rated.add(did)
+
+    @precondition(lambda self: len(self.queries) < MAX_QUERIES)
+    @rule(weights=query_weights, k=ks)
+    def register(self, weights, k):
+        q = mkquery(f"q{self.next_qid}", weights, k=k)
+        self.next_qid += 1
+        self.driver.register(q)
+        self.queries[q.id] = q
+
+    # queries live long enough for their state to age: unregister only at the cap
+    @precondition(lambda self: len(self.queries) == MAX_QUERIES)
+    @rule(pick=st.integers(0, MAX_QUERIES - 1))
+    def unregister(self, pick):
+        qid = sorted(self.queries)[pick]
+        self.driver.unregister(qid)
+        del self.queries[qid]
+
+    @invariant()
+    def exact_and_consistent(self):
+        eng = self.engine
+        # one invariant, oracle first, so a wrong result reports as a mismatch
+        for q in self.queries.values():
+            expected = oracle(q, self.store, self.feedback)
+            actual = eng.current_result(q.id)
+            assert results_equal(expected, actual), (
+                f"query {q.id}: expected {expected}, got {actual}")
+        expected_trees = Counter()
+        for qid in self.queries:
+            st_q = eng.state(qid)
+            for tid, theta in st_q.thresholds.items():
+                expected_trees[(tid, theta, qid)] += 1
+                lst = eng.index.list_for(tid)
+                for did, w in (lst.entries() if lst else ()):
+                    assert w <= theta or did in st_q.scores, (
+                        f"query {qid}: posting ({did}, {w}) of term {tid} lies above "
+                        f"threshold {theta} but is not a candidate")
+        actual_trees = Counter((tid, theta, qid) for tid in eng.index.terms()
+                               for theta, qid in eng.index.entry(tid).tree.entries())
+        assert actual_trees == expected_trees
+
+
+TestEngineMachine = EngineMachine.TestCase
+TestEngineMachine.settings = settings(max_examples=200, stateful_step_count=80,
+                                      deadline=None)
