@@ -1,10 +1,13 @@
 """Full-rescan evaluation: the correctness oracle and benchmark comparator.
 
-``naive_top_k`` scores every windowed non-duplicate document from scratch.
-:class:`FullRescanEngine` does that for all queries after every event.
-:class:`BufferedRescanEngine` keeps a per-query buffer of the top ``k_max``
-documents (``k_max = c * k``) so most events touch only the buffer and a
-full rescan runs only when a buffer can no longer certify k exact results.
+``naive_top_k`` scores every windowed non-duplicate document from scratch;
+as the oracle it applies the duplicate rule itself instead of trusting the
+driver's screening. :class:`FullRescanEngine` does that for all queries
+after every event. :class:`BufferedRescanEngine` keeps a per-query buffer of
+the top ``k_max`` documents (``k_max = K_MULT * k``) so most events touch
+only the buffer and a full rescan runs only when a buffer can no longer
+certify k exact results. Like every engine, it sees only the documents it
+ranks.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from heapq import nlargest
 from .feedback import FeedbackStore
 from .index import DocumentStore
 from .model import Document, Query, QueryId, ScoredDoc, dot_score
+
+K_MULT = 2
 
 
 def _window(store: DocumentStore) -> list[tuple[int, dict[int, float]]]:
@@ -168,13 +173,9 @@ class BufferedRescanEngine:
     k certified entries.
     """
 
-    def __init__(self, store: DocumentStore, feedback: FeedbackStore | None = None,
-                 k_mult: int = 2):
-        if k_mult < 1:
-            raise ValueError("k_mult must be >= 1")
+    def __init__(self, store: DocumentStore, feedback: FeedbackStore | None = None):
         self.store = store
         self.feedback = feedback
-        self.k_mult = k_mult
         self._queries: dict[QueryId, Query] = {}
         self._buffers: dict[QueryId, KmaxBuffer] = {}
         self.rescan_count = 0
@@ -183,7 +184,7 @@ class BufferedRescanEngine:
         if query.id in self._queries:
             raise ValueError(f"query id {query.id!r} already registered")
         self._queries[query.id] = query
-        buf = KmaxBuffer(query.k, query.k * self.k_mult)
+        buf = KmaxBuffer(query.k, query.k * K_MULT)
         self._buffers[query.id] = buf
         self._rescan(query, buf)
 
@@ -207,8 +208,6 @@ class BufferedRescanEngine:
         return s
 
     def apply_arrival(self, doc: Document) -> set[QueryId]:
-        if doc.is_duplicate:
-            return set()
         changed: set[QueryId] = set()
         for qid, query in self._queries.items():
             s = self._score(query, doc)
@@ -226,7 +225,7 @@ class BufferedRescanEngine:
         for qid, buf in self._buffers.items():
             touched = False
             for doc in docs:
-                if not doc.is_duplicate and buf.remove(doc.id):
+                if buf.remove(doc.id):
                     touched = True
             if touched:
                 changed.add(qid)
@@ -235,8 +234,6 @@ class BufferedRescanEngine:
         return changed
 
     def apply_feedback(self, doc: Document, old_factor: float, new_factor: float) -> set[QueryId]:
-        if doc.is_duplicate or new_factor == old_factor:
-            return set()
         changed: set[QueryId] = set()
         for qid, query in self._queries.items():
             buf = self._buffers[qid]

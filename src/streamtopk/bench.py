@@ -56,7 +56,6 @@ class BenchResult:
     records: list[MetricsRecord]
     mean_micros: float
     p95_micros: float
-    rescans: int = 0
     events_verified: int = 0
     final_results: dict = field(default_factory=dict)
 
@@ -143,10 +142,8 @@ class _Replay:
             p95 = micros[min(len(micros) - 1, int(0.95 * (len(micros) - 1)))]
         else:
             mean = p95 = 0.0
-        rescans = getattr(self.engine, "rescan_count", 0)
         final = {str(q.id): self.engine.current_result(q.id) for q in self.queries}
-        return BenchResult(self.engine_name, records, mean, p95, rescans,
-                           self.verified, final)
+        return BenchResult(self.engine_name, records, mean, p95, self.verified, final)
 
 
 def run_benchmark(engine_name: str, events: list[StreamEvent], queries: list[Query],

@@ -41,13 +41,6 @@ def _doc_len(text: str) -> tuple[int, int]:
     return int(lo), int(hi or lo)
 
 
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", choices=("count", "time"), default="count",
-                   help="window policy (default count-based)")
-    p.add_argument("--n", type=int, default=1000, metavar="N",
-                   help="window capacity: documents or ticks (default 1000)")
-
-
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=ENGINE_NAMES, default="ita")
     p.add_argument("--dedup-threshold", type=float, default=None, metavar="T",
@@ -63,9 +56,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_gen_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=200.0, help="mean arrivals/second")
-    p.add_argument("--duration", type=float, default=10.0, help="stream length in seconds")
-    p.add_argument("--docs", type=int, default=None,
-                   help="exact document count (overrides --duration)")
     p.add_argument("--vocab", type=int, default=1000, help="vocabulary size")
     p.add_argument("--doc-len", type=_doc_len, default=(10, 100), metavar="MIN,MAX")
     p.add_argument("--zipf", type=float, default=1.0, help="term popularity skew")
@@ -84,6 +74,9 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate stream and query files")
     _add_gen_config_flags(g)
+    g.add_argument("--duration", type=float, default=10.0, help="stream length in seconds")
+    g.add_argument("--docs", type=int, default=None,
+                   help="exact document count (overrides --duration)")
     g.add_argument("--stream-out", required=True)
     g.add_argument("--queries-out", required=True)
 
@@ -91,14 +84,19 @@ def build_parser() -> _Parser:
     i.add_argument("--stream", required=True)
     i.add_argument("--queries", required=True)
     i.add_argument("--stopwords", default=None)
-    _add_window_flags(i)
+    i.add_argument("--window", choices=("count", "time"), default="count",
+                   help="window policy (default count-based)")
+    i.add_argument("--n", type=int, default=1000, metavar="N",
+                   help="window capacity: documents or ticks (default 1000)")
     _add_engine_flags(i)
     i.add_argument("--out", default=None, help="final per-query results CSV")
     i.add_argument("--metrics", default=None, help="per-event metrics CSV")
 
     b = sub.add_parser("bench", help="benchmark engines over parameter sweeps")
     _add_gen_config_flags(b)
-    _add_window_flags(b)
+    b.add_argument("--n", type=int, default=1000, metavar="N",
+                   help="count-window capacity in documents (default 1000); each "
+                        "run generates N prefill plus --events measured documents")
     b.add_argument("--engines", default="ita,naive",
                    help="comma-separated engine list (default ita,naive)")
     b.add_argument("--dedup-threshold", type=float, default=None, metavar="T")
@@ -225,7 +223,7 @@ def _cmd_bench(args, outputs: ExitStack) -> int:
             if e not in ENGINE_NAMES:
                 raise ValueError(f"unknown engine {e!r}")
         stream_cfg = StreamConfig(
-            rate=args.rate, duration=args.duration, vocab_size=args.vocab,
+            rate=args.rate, vocab_size=args.vocab,
             doc_length=args.doc_len, zipf_s=args.zipf, seed=args.seed,
             dup_rate=args.dup_rate, dup_backlook=args.dup_backlook)
         query_cfg = QueryConfig(count=args.n_queries, terms=args.query_terms,

@@ -23,6 +23,8 @@ class ShardSet:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._workers = workers
+        self.store = store
+        self.feedback = feedback
         self.shards = [IncrementalTopKEngine(store, feedback) for _ in range(workers)]
         self._ks: dict[QueryId, int] = {}
 

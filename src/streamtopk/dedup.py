@@ -1,15 +1,16 @@
-"""Near-duplicate suppression for arriving documents.
+"""Near-duplicate detection for arriving documents.
 
 An arrival whose best cosine similarity to a windowed non-duplicate document
-reaches the configured threshold is flagged as a duplicate of that document
-and never indexed, which keeps it out of every result list. The threshold
+reaches the configured threshold is flagged as a duplicate of that document.
+The driver screens flagged documents out: they hold a window slot but never
+reach an engine, which keeps them out of every result list. The threshold
 lies in (0, 1]; a driver without a :class:`DedupConfig` runs no detection.
 
 Detection is exact: :class:`DuplicateIndex` finds every windowed document at
 cosine >= t with a prefix filter (AllPairs, Bayardo, Ma & Srikant, WWW 2007)
 while indexing only a short tail of each document. The full window scan,
-``check_duplicate(..., index=None, ...)``, gives the same flags and serves as
-the reference the index is tested against.
+:func:`scan_duplicate`, gives the same flags and serves as the reference the
+index is tested against.
 """
 
 from __future__ import annotations
@@ -156,22 +157,17 @@ class DuplicateIndex:
         return best_id
 
 
-def check_duplicate(doc: Document, store: DocumentStore,
-                    index: DuplicateIndex | None,
-                    config: DedupConfig) -> int | None:
-    """Return the id of the windowed document ``doc`` duplicates, if any.
+def check_duplicate(doc: Document, index: DuplicateIndex) -> int | None:
+    """Return the id of the windowed document ``doc`` duplicates, if any: the
+    best match at or above the index threshold, ties going to the newest."""
+    return index.best_match(doc.composition)
 
-    The best candidate at or above the threshold wins, ties going to the
-    newest document. Candidates come from ``index``; with no index the whole
-    window is scanned, which gives the same answer.
-    """
+
+def scan_duplicate(doc: Document, store: DocumentStore, threshold: float) -> int | None:
+    """:func:`check_duplicate` by a scan of the whole window, which gives the
+    same answer; the reference the index is tested against."""
     if not doc.composition.pairs:
         return None
-    if index is not None:
-        if index.threshold != config.similarity_threshold:
-            raise ValueError("duplicate index threshold differs from the config")
-        return index.best_match(doc.composition)
-
     best_cos = 0.0
     best_id: int | None = None
     for cand in store.documents():
@@ -180,6 +176,6 @@ def check_duplicate(doc: Document, store: DocumentStore,
         c = cosine(doc.composition, cand.composition)
         if c > best_cos or (c == best_cos and best_id is not None and cand.id > best_id):
             best_cos, best_id = c, cand.id
-    if best_id is not None and best_cos >= config.similarity_threshold:
+    if best_id is not None and best_cos >= threshold:
         return best_id
     return None

@@ -4,9 +4,10 @@ routing in front of any engine.
 The driver owns the :class:`DocumentStore` and the window policy. Engines
 never decide expiration themselves; the driver tells them which documents
 arrive and which expire, so single-node engines and sharded engines see
-identical window semantics. With dedup on, the driver keeps the
-:class:`DuplicateIndex` in step with the store, so flags never depend on
-the engine.
+identical window semantics. The driver also owns the duplicate rule: a
+flagged document holds a window slot, but its arrival and its expiry never
+reach the engine, the :class:`DuplicateIndex` or the feedback store, and a
+rating for it is rejected. Engines see only the documents they rank.
 """
 
 from __future__ import annotations
@@ -24,20 +25,12 @@ class Arrival:
     doc: Document
     lineno: int | None = None
 
-    @property
-    def kind(self) -> str:
-        return "arrival"
-
 
 @dataclass(frozen=True)
 class Feedback:
     doc_id: int
     rating: float
     lineno: int | None = None
-
-    @property
-    def kind(self) -> str:
-        return "feedback"
 
 
 StreamEvent = Arrival | Feedback
@@ -54,10 +47,13 @@ class StreamDriver:
     def __init__(self, store: DocumentStore, engine,
                  feedback: FeedbackStore | None = None,
                  dedup: DedupConfig | None = None):
+        if engine.store is not store:
+            raise ValueError("the engine is built over a different document store")
+        if feedback is not None and engine.feedback is not feedback:
+            raise ValueError("the engine is built over a different feedback store")
         self.store = store
         self.engine = engine
         self.feedback = feedback
-        self.dedup = dedup
         self.duplicates = (DuplicateIndex(dedup.similarity_threshold, store.documents())
                            if dedup is not None else None)
 
@@ -82,21 +78,24 @@ class StreamDriver:
     def _process_arrival(self, event: Arrival) -> EventOutcome:
         doc = event.doc
         dup = None
-        if self.dedup is not None:
-            dup = check_duplicate(doc, self.store, self.duplicates, self.dedup)
+        if self.duplicates is not None:
+            dup = check_duplicate(doc, self.duplicates)
             if dup is not None:
                 doc = replace(doc, duplicate_of=dup)
         self.store.insert(doc)
-        if self.duplicates is not None:
-            self.duplicates.add(doc)
-        changed = set(self.engine.apply_arrival(doc))
-        expired = self.store.evict_due(doc.arrival_time)
-        if expired:
+        changed: set[QueryId] = set()
+        if not doc.is_duplicate:
             if self.duplicates is not None:
-                self.duplicates.remove(expired)
-            changed |= self.engine.apply_expirations(expired)
+                self.duplicates.add(doc)
+            changed |= self.engine.apply_arrival(doc)
+        expired = self.store.evict_due(doc.arrival_time)
+        ranked = [gone for gone in expired if not gone.is_duplicate]
+        if ranked:
+            if self.duplicates is not None:
+                self.duplicates.remove(ranked)
+            changed |= self.engine.apply_expirations(ranked)
             if self.feedback is not None:
-                for gone in expired:
+                for gone in ranked:
                     self.feedback.drop(gone.id)
         return EventOutcome(changed, expired, dup)
 

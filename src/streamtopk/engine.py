@@ -27,7 +27,12 @@ through ``_drop``. Arrival and feedback share one rescore step: probe the
 threshold trees with the document's boosted weights, then score each hit
 (and, for feedback, each query already holding the document) once. Every
 weight is boosted by the :class:`FeedbackStore` factor; an engine built
-without a store makes an empty one, whose factors are all 1.
+without a store makes an empty one, whose factors are all 1. A fresh
+arrival is not yet rated, so it enters at its raw weights.
+
+The engine sees only documents it ranks: the :class:`StreamDriver` screens
+out flagged duplicates, on arrival and on expiry alike, and rejects ratings
+for them.
 """
 
 from __future__ import annotations
@@ -131,15 +136,10 @@ class IncrementalTopKEngine:
         """Index an arriving document and fold it into affected results.
 
         Returns the ids of queries whose verified top-k changed. The caller
-        has already resolved duplicate detection and inserted the document
-        into the shared store. A duplicate is indexed but scored for no query.
+        has already inserted the document into the shared store.
         """
-        factor = self.feedback.factor(doc.id)
-        self.index.add_document(doc, factor)
-        if doc.is_duplicate:
-            self.last_scored = {}
-            return set()
-        return self._rescore(doc, factor, set())
+        self.index.add_document(doc)
+        return self._rescore(doc, 1.0, set())
 
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
         """Handle a batch of expirations from the window head.
@@ -149,8 +149,7 @@ class IncrementalTopKEngine:
         the window; each affected query is then refilled exactly once.
         """
         for doc in docs:
-            if not doc.is_duplicate:
-                self.index.remove_document(doc, self.feedback.factor(doc.id))
+            self.index.remove_document(doc, self.feedback.factor(doc.id))
         refill: dict[QueryId, QueryState] = {}
         for doc in docs:
             for qid in self._rev.pop(doc.id, ()):
@@ -170,10 +169,6 @@ class IncrementalTopKEngine:
         score can only rise, so a result changes only where the document now
         ranks within the top k.
         """
-        if doc.is_duplicate:
-            raise ValueError("duplicates carry no feedback")
-        if new_factor == old_factor:
-            return set()
         self.index.reindex_document(doc, old_factor, new_factor)
         return self._rescore(doc, new_factor, set(self._rev.get(doc.id, ())))
 

@@ -26,7 +26,6 @@ class StreamConfig:
     zipf_s: float = 1.0
     seed: int = 0
     n_docs: int | None = None        # exact document count instead of duration
-    first_id: int = 1
     # near-duplicate injection (off by default): each arrival is, with
     # probability dup_rate, a copy of one of the last dup_backlook documents,
     # perturbed in a single token with probability dup_perturb.
@@ -89,7 +88,7 @@ def generate_stream(config: StreamConfig, vocab: Vocabulary | None = None) -> li
     events: list[StreamEvent] = []
     recent: list[CompositionList] = []
     t = 0.0
-    doc_id = config.first_id
+    doc_id = 1
     while True:
         if config.rate > 0:
             t += rng.expovariate(config.rate) * TICKS_PER_SECOND
@@ -140,8 +139,7 @@ def _perturb(source: CompositionList, rng: random.Random, ranks, cum,
 
 
 def generate_queries(config: QueryConfig, vocab_size: int,
-                     vocab: Vocabulary | None = None,
-                     first_id: int = 1) -> list[Query]:
+                     vocab: Vocabulary | None = None) -> list[Query]:
     """Draw queries of ``terms`` distinct terms sampled uniformly from the
     vocabulary, all with unit weights and the configured k."""
     if config.terms > vocab_size:
@@ -150,8 +148,8 @@ def generate_queries(config: QueryConfig, vocab_size: int,
         vocab = Vocabulary()
     rng = random.Random(config.seed)
     queries = []
-    for i in range(config.count):
+    for qid in range(1, config.count + 1):
         picked = rng.sample(range(vocab_size), config.terms)
         weights = {vocab.intern(token_for(r)): 1.0 for r in picked}
-        queries.append(Query(id=first_id + i, term_weights=weights, k=config.k))
+        queries.append(Query(id=qid, term_weights=weights, k=config.k))
     return queries

@@ -7,6 +7,10 @@ within a run. An arrival appends to its run and a FIFO expiry removes a
 run's head; only a feedback re-weight moves an id in the middle of a run.
 ``bisect`` on the short list of distinct weights finds a run. Threshold
 trees are sorted parallel arrays probed with ``bisect`` as well.
+
+The store holds every windowed document, flagged duplicates included; the
+term index holds only the documents an engine ranks, since the driver never
+passes it a duplicate.
 """
 
 from __future__ import annotations
@@ -228,9 +232,9 @@ class _TermEntry:
 class TermIndex:
     """The term dictionary: term id -> (inverted list, threshold tree).
 
-    A term is present only while some windowed non-duplicate document or
-    registered query still refers to it; entries that go empty on both sides
-    are dropped to bound memory.
+    A term is present only while some indexed document or registered query
+    still refers to it; entries that go empty on both sides are dropped to
+    bound memory.
     """
 
     def __init__(self) -> None:
@@ -254,16 +258,12 @@ class TermIndex:
         ent = self._terms.get(tid)
         return ent.postings if ent is not None else None
 
-    def add_document(self, doc: Document, factor: float = 1.0) -> None:
-        """Index one impact entry per composition term. Duplicates get none."""
-        if doc.is_duplicate:
-            return
+    def add_document(self, doc: Document) -> None:
+        """Index one impact entry per composition term, at its raw weight."""
         for tid, w in doc.composition.pairs:
-            self.ensure(tid).postings.insert(doc.id, w * factor)
+            self.ensure(tid).postings.insert(doc.id, w)
 
     def remove_document(self, doc: Document, factor: float = 1.0) -> None:
-        if doc.is_duplicate:
-            return
         for tid, w in doc.composition.pairs:
             ent = self._terms[tid]
             ent.postings.remove(doc.id, w * factor)
@@ -271,8 +271,6 @@ class TermIndex:
 
     def reindex_document(self, doc: Document, old_factor: float, new_factor: float) -> None:
         """Rewrite a document's impact entries after its boost factor changed."""
-        if doc.is_duplicate or old_factor == new_factor:
-            return
         for tid, w in doc.composition.pairs:
             postings = self._terms[tid].postings
             postings.remove(doc.id, w * old_factor)
@@ -280,9 +278,3 @@ class TermIndex:
 
     def terms(self) -> Iterable[int]:
         return self._terms.keys()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __contains__(self, tid: int) -> bool:
-        return tid in self._terms

@@ -42,14 +42,14 @@ def test_naive_matches_initial_incremental_search():
 
 def test_kmax_buffer_size_is_configured_multiple():
     store = _store([])
-    eng = BufferedRescanEngine(store, k_mult=2)
+    eng = BufferedRescanEngine(store)
     eng.register(mkquery("q", {1: 1.0}, k=10))
     assert eng._buffers["q"].k_max == 20
 
 
 def test_rescan_triggered_when_buffer_drops_below_k():
     store = DocumentStore(WindowPolicy.count_based(4))
-    eng = BufferedRescanEngine(store, k_mult=2)
+    eng = BufferedRescanEngine(store)
     driver = StreamDriver(store, eng)
     # window: 4 matching docs, k=2, k_max=4 -> buffer holds all four
     for i, w in [(1, 5), (2, 4), (3, 3), (4, 2)]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
                         IncrementalTopKEngine, ShardSet, StreamConfig, StreamDriver,
                         Vocabulary, WindowPolicy, generate_stream)
-from streamtopk.dedup import DuplicateIndex, check_duplicate, cosine
+from streamtopk.dedup import DuplicateIndex, check_duplicate, cosine, scan_duplicate
 from streamtopk.driver import Arrival, Feedback
 
 from helpers import comp, mkdoc, mkquery
@@ -39,43 +39,42 @@ def _window(docs, threshold=0.95, n=50):
 
 
 def test_exact_repost_is_flagged():
-    store, index = _window([mkdoc(1, {1: 2, 2: 1})])
+    _, index = _window([mkdoc(1, {1: 2, 2: 1})])
     d = mkdoc(9, {1: 2, 2: 1})
-    assert check_duplicate(d, store, index, DedupConfig()) == 1
+    assert check_duplicate(d, index) == 1
 
 
 def test_no_shared_terms_is_clean():
-    store, index = _window([mkdoc(1, {1: 2})])
+    _, index = _window([mkdoc(1, {1: 2})])
     d = mkdoc(9, {5: 2})
-    assert check_duplicate(d, store, index, DedupConfig()) is None
+    assert check_duplicate(d, index) is None
 
 
 def test_highest_cosine_candidate_wins():
     # candidate 2 matches slightly better than candidate 1
-    store, index = _window([
+    _, index = _window([
         mkdoc(1, {1: 10, 2: 1, 3: 1}),
         mkdoc(2, {1: 10, 2: 1, 4: 1}),
-    ])
+    ], threshold=0.95)
     d = mkdoc(9, {1: 10, 2: 1, 4: 2})
-    cfg = DedupConfig(similarity_threshold=0.95)
     c1 = cosine(d.composition, comp({1: 10, 2: 1, 3: 1}))
     c2 = cosine(d.composition, comp({1: 10, 2: 1, 4: 1}))
     assert c2 > c1 >= 0.95
-    assert check_duplicate(d, store, index, cfg) == 2
+    assert check_duplicate(d, index) == 2
 
 
 def test_equal_cosine_prefers_newest():
-    store, index = _window([mkdoc(1, {1: 3}), mkdoc(2, {1: 3})])
+    _, index = _window([mkdoc(1, {1: 3}), mkdoc(2, {1: 3})])
     d = mkdoc(9, {1: 3})
-    assert check_duplicate(d, store, index, DedupConfig()) == 2
+    assert check_duplicate(d, index) == 2
 
 
 def test_threshold_outside_unit_interval_is_rejected():
     for bad in (0.0, -0.5, 1.0 + 1e-9, 1.5, float("nan")):
         with pytest.raises(ValueError):
             DedupConfig(bad)
-    store, index = _window([mkdoc(1, {1: 2})], threshold=1.0)
-    assert check_duplicate(mkdoc(9, {1: 2}), store, index, DedupConfig(1.0)) == 1
+    _, index = _window([mkdoc(1, {1: 2})], threshold=1.0)
+    assert check_duplicate(mkdoc(9, {1: 2}), index) == 1
     # no config is the one way to switch detection off
     store = DocumentStore(WindowPolicy.count_based(5))
     driver = StreamDriver(store, IncrementalTopKEngine(store))
@@ -86,24 +85,23 @@ def test_threshold_outside_unit_interval_is_rejected():
 def test_duplicates_of_duplicates_resolve_to_originals():
     """A flagged duplicate is unindexed, so later copies match the original."""
     store, index = _window([])
-    cfg = DedupConfig()
     d1 = mkdoc(1, {1: 2, 2: 1})
-    assert check_duplicate(d1, store, index, cfg) is None
+    assert check_duplicate(d1, index) is None
     store.insert(d1)
     index.add(d1)
     d2 = mkdoc(2, {1: 2, 2: 1})
-    dup = check_duplicate(d2, store, index, cfg)
+    dup = check_duplicate(d2, index)
     assert dup == 1
     d2 = mkdoc(2, {1: 2, 2: 1}, dup=dup)
     store.insert(d2)
     index.add(d2)
     d3 = mkdoc(3, {1: 2, 2: 1})
-    assert check_duplicate(d3, store, index, cfg) == 1
+    assert check_duplicate(d3, index) == 1
+    assert scan_duplicate(d3, store, 0.95) == 1
 
 
 def test_pruned_candidates_match_bruteforce_when_heavy_terms_shared():
     rng = random.Random(4)
-    cfg = DedupConfig(similarity_threshold=0.9)
     for _ in range(50):
         base_pairs = {rng.randrange(10): float(rng.randint(2, 6)) for _ in range(4)}
         docs = [mkdoc(1, base_pairs)]
@@ -114,8 +112,7 @@ def test_pruned_candidates_match_bruteforce_when_heavy_terms_shared():
         probe_pairs = dict(base_pairs)
         probe_pairs[30] = 1.0  # light perturbation
         d = mkdoc(99, probe_pairs)
-        assert (check_duplicate(d, store, index, cfg)
-                == check_duplicate(d, store, None, cfg))
+        assert check_duplicate(d, index) == scan_duplicate(d, store, 0.9)
 
 
 def test_result_lists_never_contain_near_duplicate_pairs():
@@ -150,10 +147,10 @@ def test_result_lists_never_contain_near_duplicate_pairs():
 def _replay_against_full_scan(events, driver, rng, feedback_every=4):
     """Feed arrivals (plus a rating every few events) through ``driver``,
     asserting that each arrival's flag equals the full window scan."""
-    store, cfg = driver.store, driver.dedup
+    store, threshold = driver.store, driver.duplicates.threshold
     flags = []
     for i, ev in enumerate(events):
-        expected = check_duplicate(ev.doc, store, None, cfg)
+        expected = scan_duplicate(ev.doc, store, threshold)
         out = driver.process(ev)
         assert out.duplicate_of == expected, f"doc {ev.doc.id}"
         flags.append(out.duplicate_of)
@@ -191,7 +188,7 @@ def test_indexed_flags_equal_full_scan_on_small_vocabularies(comps, threshold, n
     driver = StreamDriver(store, IncrementalTopKEngine(store), dedup=DedupConfig(threshold))
     for i, pairs in enumerate(comps, start=1):
         doc = mkdoc(i, pairs)
-        expected = check_duplicate(doc, store, None, driver.dedup)
+        expected = scan_duplicate(doc, store, threshold)
         assert driver.process(Arrival(doc)).duplicate_of == expected
 
 
@@ -227,7 +224,7 @@ def test_pairs_at_exactly_the_threshold():
     _flags(driver, [mkdoc(1, {1: 1, 2: 1})])
     d = mkdoc(2, {1: 1, 3: 1})
     assert (driver.process(Arrival(d)).duplicate_of
-            == check_duplicate(d, driver.store, None, driver.dedup)
+            == scan_duplicate(d, driver.store, 0.5)
             == (1 if cosine(d.composition, comp({1: 1, 2: 1})) >= 0.5 else None))
 
 
@@ -260,14 +257,8 @@ def test_empty_windowed_documents_are_never_candidates():
     driver = StreamDriver(store, IncrementalTopKEngine(store), dedup=DedupConfig())
     _flags(driver, [mkdoc(1, {})])
     d = mkdoc(2, {1: 1})
-    assert check_duplicate(d, store, None, driver.dedup) is None
+    assert scan_duplicate(d, store, 0.95) is None
     assert driver.process(Arrival(d)).duplicate_of is None
-
-
-def test_index_threshold_must_match_the_config():
-    store, index = _window([mkdoc(1, {1: 1})], threshold=0.9)
-    with pytest.raises(ValueError):
-        check_duplicate(mkdoc(2, {1: 1}), store, index, DedupConfig(0.95))
 
 
 def test_candidate_terms_field_is_accepted_and_ignored():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
-                        IncrementalTopKEngine, StreamDriver, WindowPolicy)
+                        IncrementalTopKEngine, ShardSet, StreamDriver, WindowPolicy)
 from streamtopk.driver import Arrival, Feedback
 
 from helpers import mkdoc, mkquery, oracle, random_events, results_equal
@@ -49,6 +49,29 @@ def test_feedback_on_duplicate_is_an_error():
     assert store.get(2).is_duplicate
     with pytest.raises(ValueError):
         driver.process(Feedback(2, 1.0))
+
+
+def test_driver_refuses_an_engine_over_other_stores():
+    """Over another feedback store, the engine's postings follow the
+    driver's factors while its expiry looks them up at its own: doc 1, rated
+    1.0, was indexed at 2.4 and then sought at 2.0, a KeyError raised after
+    the store had already evicted it. Such a pair is refused when built."""
+    store = DocumentStore(WindowPolicy.count_based(2))
+    with pytest.raises(ValueError, match="feedback store"):
+        StreamDriver(store, IncrementalTopKEngine(store), FeedbackStore())
+    with pytest.raises(ValueError, match="feedback store"):
+        StreamDriver(store, ShardSet(store, 2), FeedbackStore())
+    with pytest.raises(ValueError, match="document store"):
+        StreamDriver(store, IncrementalTopKEngine(DocumentStore(store.policy)))
+    fb = FeedbackStore()
+    eng = IncrementalTopKEngine(store, fb)
+    driver = StreamDriver(store, eng, fb)
+    eng.register(mkquery("Q", {1: 1.0}, k=1))
+    driver.process(Arrival(mkdoc(1, {1: 2})))
+    driver.process(Feedback(1, 1.0))
+    driver.process(Arrival(mkdoc(2, {1: 2})))
+    driver.process(Arrival(mkdoc(3, {1: 2})))  # doc 1 expires
+    assert eng.current_result("Q") == [(3, 2.0)]
 
 
 def test_feedback_rescores_a_holder_the_probe_misses():

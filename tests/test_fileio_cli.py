@@ -218,6 +218,10 @@ def test_config_errors_exit_one(tmp_path):
     assert run_cli(base + ["--dedup-threshold", "1.5"]) == 1
     assert run_cli(base + ["--dedup-threshold", "nan"]) == 1
     assert run_cli(base + ["--engine", "bogus"]) == 1  # argparse choice
+    # bench always generates N + --events documents into a count window of N
+    bench = ["bench", "--engines", "ita", "--events", "5", "--n", "10"]
+    for flag in (["--window", "time"], ["--docs", "5"], ["--duration", "0.001"]):
+        assert run_cli(bench + flag) == 1
 
 
 def test_verification_mismatch_exits_three(tmp_path, monkeypatch):

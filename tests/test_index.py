@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamtopk import DocumentStore, WindowPolicy
+from streamtopk import DocumentStore, IncrementalTopKEngine, StreamDriver, WindowPolicy
+from streamtopk.driver import Arrival
 from streamtopk.index import InvertedList, TermIndex, ThresholdTree
 
 from helpers import mkdoc
@@ -239,13 +240,15 @@ def test_insert_document_indexes_each_distinct_term():
 
 
 def test_duplicate_gets_window_slot_but_no_entries():
+    """The driver screens flagged documents: they enter the store only."""
     store = DocumentStore(WindowPolicy.count_based(10))
-    index = TermIndex()
-    _insert(store, index, mkdoc(7, {3: 2}))
-    _insert(store, index, mkdoc(8, {3: 2}, dup=7))
+    engine = IncrementalTopKEngine(store)
+    driver = StreamDriver(store, engine)
+    driver.process(Arrival(mkdoc(7, {3: 2})))
+    driver.process(Arrival(mkdoc(8, {3: 2}, dup=7)))
     assert len(store) == 2
-    assert len(index.list_for(3)) == 1
-    _check_index_consistency(store, index)
+    assert engine.index.list_for(3).entries() == [(7, 2.0)]
+    _check_index_consistency(store, engine.index)
 
 
 def test_evict_expired_deindexes():
@@ -261,7 +264,8 @@ def test_evict_expired_deindexes():
 def test_index_consistent_under_random_interleaving():
     rng = random.Random(9)
     store = DocumentStore(WindowPolicy.count_based(8))
-    index = TermIndex()
+    engine = IncrementalTopKEngine(store)
+    driver = StreamDriver(store, engine)
     for i in range(1, 120):
         pairs = {rng.randrange(6): float(rng.randint(1, 4))
                  for _ in range(rng.randint(1, 4))}
@@ -269,6 +273,5 @@ def test_index_consistent_under_random_interleaving():
         if rng.random() < 0.2 and len(store):
             cand = rng.choice([d.id for d in store.documents()])
             dup = cand if cand < i else None
-        _insert(store, index, mkdoc(i, pairs, dup=dup))
-        _evict(store, index, now=i)
-        _check_index_consistency(store, index)
+        driver.process(Arrival(mkdoc(i, pairs, dup=dup)))
+        _check_index_consistency(store, engine.index)

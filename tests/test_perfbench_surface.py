@@ -107,7 +107,7 @@ def test_perfbench_build_replay_and_instrumentation(workers, monkeypatch):
         arrivals.append(_Counter(eng, "apply_arrival"))
         expires.append(_Counter(eng, "apply_expirations"))
 
-    n_arrivals = n_expired = 0
+    n_arrivals = n_ranked = n_expired = 0
     rest = []
     while True:
         chunk = fileio.read_stream(islice(stream, 32), vocab)
@@ -123,6 +123,7 @@ def test_perfbench_build_replay_and_instrumentation(workers, monkeypatch):
         n_expired += len(out.expired)
         if not isinstance(ev, Feedback):
             n_arrivals += 1
+            n_ranked += out.duplicate_of is None  # only these reach an engine
             owner = engines[ev.doc.id % workers]
             assert isinstance(owner.last_scored, dict)
         if i % 10 == 9 and pool:
@@ -139,8 +140,8 @@ def test_perfbench_build_replay_and_instrumentation(workers, monkeypatch):
     assert all(isinstance(r, tuple) and len(r) == 2 for r in records.results)
     assert any(old == new for old, new in records.results)
     assert any(old != new for old, new in records.results)
-    assert sum(c.calls for c in arrivals) == n_arrivals
-    assert sum(c.calls for c in adds) == n_arrivals
+    assert sum(c.calls for c in arrivals) == n_ranked < n_arrivals
+    assert sum(c.calls for c in adds) == n_ranked
     assert sum(c.calls for c in expires) > 0
     assert sum(c.calls for c in removes) > 0
 

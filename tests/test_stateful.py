@@ -1,6 +1,8 @@
 """Stateful oracle test: random interleavings of arrivals, time jumps,
 feedback, and query registration and unregistration, checked against the
-full-rescan oracle and the engine's own invariants after every step.
+full-rescan oracle and the engine's own invariants after every step. Bad
+input the driver must reject is interleaved too, and must leave the state
+as it was.
 
 Windows and vocabularies are small (3-12 documents or ticks, 5 terms, term
 weights 1 or 2), so results turn over, scores tie, thresholds move and
@@ -9,6 +11,7 @@ feedback lands on held candidates often.
 
 from collections import Counter
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -73,6 +76,47 @@ class EngineMachine(RuleBasedStateMachine):
         did = pool[pick % len(pool)]
         self.driver.process(Feedback(did, rating))
         self.rated.add(did)
+
+    @rule(bad=st.sampled_from(("unseen rating", "expired rating", "duplicate rating",
+                               "old id", "old time")),
+          back=st.integers(1, 3), pairs=compositions)
+    def reject_bad_input(self, bad, back, pairs):
+        """A rating for an id outside the window or for a flagged duplicate,
+        and an arrival breaking id or time order, raise and change nothing."""
+        windowed = list(self.store.documents())
+        if bad == "unseen rating":
+            event = Feedback(self.next_id, 0.5)
+        elif bad == "expired rating":
+            gone = [i for i in range(1, self.next_id) if i not in self.store]
+            if not gone:
+                return
+            event = Feedback(gone[-back % len(gone)], 0.5)
+        elif bad == "duplicate rating":
+            flagged = [d.id for d in windowed if d.is_duplicate]
+            if not flagged:
+                return
+            event = Feedback(flagged[-back % len(flagged)], 0.5)
+        elif not windowed:
+            return
+        elif bad == "old id":
+            event = Arrival(mkdoc(max(self.next_id - back, 0), pairs, t=self.now))
+        else:
+            last = windowed[-1]
+            if last.arrival_time < back:
+                return
+            event = Arrival(mkdoc(self.next_id, pairs, t=last.arrival_time - back))
+        before = self.snapshot()
+        with pytest.raises(ValueError):
+            self.driver.process(event)
+        assert self.snapshot() == before
+
+    def snapshot(self):
+        eng = self.engine
+        return ([d.id for d in self.store.documents()], dict(self.feedback.factors),
+                {qid: eng.current_result(qid) for qid in self.queries},
+                {qid: dict(eng.state(qid).thresholds) for qid in self.queries},
+                Counter((tid, theta, qid) for tid in eng.index.terms()
+                        for theta, qid in eng.index.entry(tid).tree.entries()))
 
     @precondition(lambda self: len(self.queries) < MAX_QUERIES)
     @rule(weights=query_weights, k=ks)
