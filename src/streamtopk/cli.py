@@ -55,7 +55,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_gen_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rate", type=float, default=200.0, help="mean arrivals/second")
     p.add_argument("--vocab", type=int, default=1000, help="vocabulary size")
     p.add_argument("--doc-len", type=_doc_len, default=(10, 100), metavar="MIN,MAX")
     p.add_argument("--zipf", type=float, default=1.0, help="term popularity skew")
@@ -74,6 +73,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate stream and query files")
     _add_gen_config_flags(g)
+    g.add_argument("--rate", type=float, default=200.0, help="mean arrivals/second")
     g.add_argument("--duration", type=float, default=10.0, help="stream length in seconds")
     g.add_argument("--docs", type=int, default=None,
                    help="exact document count (overrides --duration)")
@@ -133,15 +133,19 @@ def _open_outputs(outputs: ExitStack, *paths: str | None) -> list | None:
 
 
 def _cmd_gen(args) -> int:
-    stream_cfg = StreamConfig(
-        rate=args.rate, duration=args.duration, vocab_size=args.vocab,
-        doc_length=args.doc_len, zipf_s=args.zipf, seed=args.seed,
-        n_docs=args.docs, dup_rate=args.dup_rate, dup_backlook=args.dup_backlook)
-    query_cfg = QueryConfig(count=args.n_queries, terms=args.query_terms,
-                            k=args.k, seed=args.seed)
-    vocab = Vocabulary()
-    events = generate_stream(stream_cfg, vocab)
-    queries = generate_queries(query_cfg, args.vocab, vocab)
+    try:
+        stream_cfg = StreamConfig(
+            rate=args.rate, duration=args.duration, vocab_size=args.vocab,
+            doc_length=args.doc_len, zipf_s=args.zipf, seed=args.seed,
+            n_docs=args.docs, dup_rate=args.dup_rate, dup_backlook=args.dup_backlook)
+        query_cfg = QueryConfig(count=args.n_queries, terms=args.query_terms,
+                                k=args.k, seed=args.seed)
+        vocab = Vocabulary()
+        events = generate_stream(stream_cfg, vocab)
+        queries = generate_queries(query_cfg, args.vocab, vocab)
+    except ValueError as exc:
+        print(f"streamtopk: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         with open(args.stream_out, "w", encoding="utf-8") as fh:
             write_stream(fh, events, vocab)
@@ -223,8 +227,7 @@ def _cmd_bench(args, outputs: ExitStack) -> int:
             if e not in ENGINE_NAMES:
                 raise ValueError(f"unknown engine {e!r}")
         stream_cfg = StreamConfig(
-            rate=args.rate, vocab_size=args.vocab,
-            doc_length=args.doc_len, zipf_s=args.zipf, seed=args.seed,
+            vocab_size=args.vocab, doc_length=args.doc_len, zipf_s=args.zipf, seed=args.seed,
             dup_rate=args.dup_rate, dup_backlook=args.dup_backlook)
         query_cfg = QueryConfig(count=args.n_queries, terms=args.query_terms,
                                 k=args.k, seed=args.seed)

@@ -34,8 +34,8 @@ class StreamConfig:
     dup_perturb: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
+        if not self.rate > 0:  # NaN fails too
+            raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
         lo, hi = self.doc_length
@@ -90,10 +90,7 @@ def generate_stream(config: StreamConfig, vocab: Vocabulary | None = None) -> li
     t = 0.0
     doc_id = 1
     while True:
-        if config.rate > 0:
-            t += rng.expovariate(config.rate) * TICKS_PER_SECOND
-        else:
-            break
+        t += rng.expovariate(config.rate) * TICKS_PER_SECOND
         if config.n_docs is None:
             if t >= horizon:
                 break

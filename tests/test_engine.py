@@ -5,18 +5,18 @@ import pytest
 import streamtopk.engine as engine_mod
 from streamtopk import (DocumentStore, FeedbackStore, IncrementalTopKEngine,
                         StreamDriver, WindowPolicy)
-from streamtopk.driver import Arrival
+from streamtopk.driver import Arrival, Feedback
 
 from helpers import mkdoc, mkquery, oracle, random_events, results_equal, run_against_oracle
 
 RED, ROSE = 20, 11
 
 
-def _engine(n=100, kind="count"):
+def _engine(n=100, kind="count", alpha=0.2):
     policy = (WindowPolicy.count_based(n) if kind == "count"
               else WindowPolicy.time_based(n))
     store = DocumentStore(policy)
-    eng = IncrementalTopKEngine(store, FeedbackStore())
+    eng = IncrementalTopKEngine(store, FeedbackStore(alpha))
     return store, eng, StreamDriver(store, eng, eng.feedback)
 
 
@@ -230,6 +230,144 @@ def test_window_shrinking_below_k():
     assert [d for d, _ in eng.current_result("Q")] == [2]
 
 
+# -- k-skyband -----------------------------------------------------------------
+
+def test_dominated_candidate_leaves_the_list_but_stays_scored():
+    store, eng, driver = _engine()
+    st = eng.register(mkquery("Q", {RED: 1.0}, k=1))
+    _fill(driver, [mkdoc(1, {RED: 2}), mkdoc(2, {RED: 3})])
+    assert st.scores == {2: 3.0}  # doc 2 is newer and ranks above doc 1
+    assert eng._rev[1] == {"Q"}
+    eng.check_invariants()
+
+
+def test_candidate_with_only_older_documents_above_is_kept():
+    """Doc 2 ranks below doc 1 but is newer, so it must stay: once doc 1
+    expires, the refill resumes above doc 2's weight and never pops it."""
+    store, eng, driver = _engine(n=2)
+    st = eng.register(mkquery("Q", {RED: 1.0, ROSE: 1.0}, k=1))
+    _fill(driver, [mkdoc(1, {RED: 5, ROSE: 5}), mkdoc(2, {RED: 6})])
+    assert st.scores == {1: 10.0, 2: 6.0}
+    driver.process(Arrival(mkdoc(3, {9: 1})))  # doc 1 expires
+    assert eng.current_result("Q") == [(2, 6.0)]
+
+
+def test_dropped_candidates_do_not_change_the_refill_after_the_top_expires():
+    """The initial search scores a run of four equal documents under doc 1.
+    At k=2, docs 2 and 3 have two newer candidates above them and go; doc 4
+    has one and stays. When doc 1 expires, the refill re-pops the run but
+    scores nothing, and the result is docs 5 and 4."""
+    store, eng, driver = _engine(n=5)
+    _fill(driver, [mkdoc(1, {RED: 5})] + [mkdoc(i, {RED: 2}) for i in range(2, 6)])
+    q = mkquery("Q", {RED: 1.0}, k=2)
+    st = eng.register(q)
+    assert sorted(st.scores) == [1, 4, 5]
+    computed = eng.stats["score_computations"]
+    driver.process(Arrival(mkdoc(6, {9: 1})))  # doc 1 expires
+    assert eng.current_result("Q") == [(5, 2.0), (4, 2.0)]
+    assert results_equal(oracle(q, store), eng.current_result("Q"))
+    assert eng.stats["score_computations"] == computed
+    eng.check_invariants()
+
+
+def test_dropped_document_boosted_by_feedback_returns_to_the_top():
+    store, eng, driver = _engine(alpha=1.0)
+    q = mkquery("Q", {RED: 1.0}, k=1)
+    st = eng.register(q)
+    _fill(driver, [mkdoc(1, {RED: 2}), mkdoc(2, {RED: 3})])
+    assert 1 not in st.scores
+    out = driver.process(Feedback(1, 1.0))  # factor 2: doc 1 now scores 4
+    assert out.changed == {"Q"}
+    assert eng.current_result("Q") == [(1, 4.0)]
+    assert results_equal(oracle(q, store, eng.feedback), eng.current_result("Q"))
+    eng.check_invariants()
+
+
+def test_rating_below_every_threshold_still_rescores_a_dropped_document():
+    """Doc 2 is dropped under docs 3-6. Rating doc 1 makes it the top and
+    lifts both thresholds to 3; rating doc 2 then lifts it to 2.8, above
+    doc 3 but below the thresholds, so no probe reaches it and only the
+    record that the query scored it brings it back. Once doc 1 expires,
+    doc 2 is the top."""
+    store, eng, driver = _engine(n=6, alpha=1.0)
+    q = mkquery("Q", {RED: 1.0, ROSE: 1.0}, k=1)
+    st = eng.register(q)
+    _fill(driver, [mkdoc(1, {RED: 1.5, ROSE: 1.5}), mkdoc(2, {RED: 2}), mkdoc(3, {RED: 2.5}),
+                   mkdoc(4, {RED: 2.2}), mkdoc(5, {ROSE: 2.1}), mkdoc(6, {ROSE: 2.05})])
+    assert sorted(st.scores) == [1, 3, 4, 5, 6]
+    driver.process(Feedback(1, 1.0))
+    assert st.thresholds == {RED: 3.0, ROSE: 3.0}
+    driver.process(Feedback(2, 0.4))
+    assert 2 in st.scores
+    driver.process(Arrival(mkdoc(7, {9: 1})))  # doc 1 expires
+    assert eng.current_result("Q") == oracle(q, store, eng.feedback) == [(2, 2.8)]
+    eng.check_invariants()
+
+
+def test_equal_arrival_times_leave_together_in_a_time_window():
+    """Docs 2-5 arrive at tick 5; docs 4 and 5 dominate docs 2 and 3 at
+    k=2. Doc 1 expires alone at tick 10, then the four leave together at
+    tick 15, after which doc 7 is the only match."""
+    store, eng, driver = _engine(n=10, kind="time")
+    _fill(driver, [mkdoc(1, {RED: 5}, t=0)]
+          + [mkdoc(i, {RED: 2}, t=5) for i in range(2, 6)])
+    q = mkquery("Q", {RED: 1.0}, k=2)
+    st = eng.register(q)
+    assert sorted(st.scores) == [1, 4, 5]
+    for doc, want in [(mkdoc(6, {9: 1}, t=10), [(5, 2.0), (4, 2.0)]),
+                      (mkdoc(7, {RED: 1}, t=12), [(5, 2.0), (4, 2.0)]),
+                      (mkdoc(8, {9: 1}, t=15), [(7, 1.0)])]:
+        driver.process(Arrival(doc))
+        assert eng.current_result("Q") == want
+        assert results_equal(oracle(q, store), want)
+        eng.check_invariants()
+
+
+def test_reregistered_id_scores_what_the_old_query_dropped():
+    store, eng, driver = _engine()
+    st = eng.register(mkquery("Q", {RED: 1.0}, k=1))
+    _fill(driver, [mkdoc(1, {RED: 2}), mkdoc(2, {RED: 3})])
+    assert 1 not in st.scores
+    eng.unregister("Q")
+    eng.check_invariants()
+    q = mkquery("Q", {RED: 1.0}, k=2)
+    eng.register(q)
+    assert eng.current_result("Q") == [(2, 3.0), (1, 2.0)]
+    eng.check_invariants()
+
+
+# -- skipped rollups ----------------------------------------------------------
+
+def test_arrival_above_a_threshold_lowers_raise_at():
+    """At k=2 over weights 4 and 2 the threshold rolls up to 2, and the next
+    raise (to 4) needs a k-th score of 4. Doc 3 inserts weight 3, so a k-th
+    score of 3 already raises the threshold to 3; a rollup skipped on the
+    stale raise_at would leave it at 2."""
+    store, eng, driver = _engine()
+    st = eng.register(mkquery("Q", {RED: 1.0}, k=2))
+    _fill(driver, [mkdoc(1, {RED: 2}), mkdoc(2, {RED: 4})])
+    assert st.thresholds == {RED: 2.0}
+    assert st.raise_at == 4.0
+    driver.process(Arrival(mkdoc(3, {RED: 3})))
+    assert st.s_k == 3.0
+    assert st.thresholds == {RED: 3.0}
+    eng.check_invariants()
+
+
+def test_rollups_that_cannot_raise_are_skipped():
+    """Arrivals that land in the top k but below the cheapest raise leave
+    the thresholds as they are, without a rollup."""
+    store, eng, driver = _engine()
+    st = eng.register(mkquery("Q", {RED: 1.0, ROSE: 1.0}, k=1))
+    _fill(driver, [mkdoc(1, {RED: 3, ROSE: 3})])
+    assert st.thresholds == {RED: 3.0, ROSE: 3.0}
+    assert st.raise_at == float("inf")  # no posting lies above either threshold
+    retunes = eng.stats["retunes"]
+    _fill(driver, [mkdoc(2, {RED: 3, ROSE: 3})])  # ties doc 1 and wins as newer
+    assert eng.current_result("Q") == [(2, 6.0)]
+    assert eng.stats["retunes"] == retunes
+
+
 # -- registration contract --------------------------------------------------
 
 def test_register_duplicate_id_rejected():
@@ -346,6 +484,12 @@ def test_oracle_equivalence_randomized_streams():
 
 
 def test_oracle_equivalence_time_window():
+    """Arrivals one tick apart, then four to a tick, which leave together."""
     events = random_events(random.Random(2), 250, vocab=7)
     queries = [mkquery("a", {0: 1.0, 1: 1.0}, k=3), mkquery("b", {2: 2.0, 3: 0.5}, k=2)]
     run_against_oracle(events, queries, WindowPolicy.time_based(12))
+    grouped = [Arrival(mkdoc(ev.doc.id, ev.doc.composition.pairs, t=ev.doc.id // 4))
+               for ev in random_events(random.Random(8), 250, vocab=5)]
+    eng = run_against_oracle(grouped, queries + [mkquery("c", {4: 1.0}, k=1)],
+                             WindowPolicy.time_based(5))
+    eng.check_invariants()

@@ -220,8 +220,14 @@ def test_config_errors_exit_one(tmp_path):
     assert run_cli(base + ["--engine", "bogus"]) == 1  # argparse choice
     # bench always generates N + --events documents into a count window of N
     bench = ["bench", "--engines", "ita", "--events", "5", "--n", "10"]
-    for flag in (["--window", "time"], ["--docs", "5"], ["--duration", "0.001"]):
+    for flag in (["--window", "time"], ["--docs", "5"], ["--duration", "0.001"],
+                 ["--rate", "5"]):
         assert run_cli(bench + flag) == 1
+    gen = ["gen", "--duration", "1", "--stream-out", str(tmp_path / "g.tsv"),
+           "--queries-out", str(tmp_path / "gq.tsv")]
+    for rate in ("0", "-1", "nan"):
+        assert run_cli(gen + ["--rate", rate]) == 1
+    assert not (tmp_path / "g.tsv").exists()
 
 
 def test_verification_mismatch_exits_three(tmp_path, monkeypatch):

@@ -30,6 +30,12 @@ def test_zero_duration_is_empty():
     assert generate_stream(StreamConfig(rate=100, duration=0.0)) == []
 
 
+@pytest.mark.parametrize("rate", [0.0, -5.0, math.nan])
+def test_rate_must_be_positive(rate):
+    with pytest.raises(ValueError):
+        StreamConfig(rate=rate, duration=1.0)
+
+
 def test_arrival_count_near_poisson_mean():
     lam, dur = 100, 4.0
     n = len(generate_stream(StreamConfig(rate=lam, duration=dur, seed=3)))

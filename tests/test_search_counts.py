@@ -1,8 +1,8 @@
 """Exact search counts on two small seeded replays.
 
 The incremental search is deterministic: the same stream and queries give
-the same expansions, pops and score computations, and the same results
-after every event. A change that keeps the algorithm (a new index layout,
+the same expansions, pops, score computations and threshold rollups
+(``retunes``), and the same results after every event. A change that keeps the algorithm (a new index layout,
 say) must leave every value pinned here unchanged. A change that alters the
 search must update them and say how they moved.
 """
@@ -65,12 +65,14 @@ def _replay(policy, *, dedup=None, feedback_every=0, churn_every=0, seed=0):
 def test_count_window_with_dedup_and_feedback():
     stats, digest = _replay(WindowPolicy.count_based(60), dedup=DedupConfig(0.9),
                             feedback_every=4, seed=3)
-    assert stats == {"pops": 2854, "score_computations": 3435, "expansions": 882}
+    assert stats == {"pops": 2854, "score_computations": 3435, "expansions": 882,
+                     "retunes": 1244}
     assert digest == "01821a91526fae0cba1dbcbe9a11bcb5069421bae263892c33298a0b566585c0"
 
 
 def test_time_window_with_query_churn():
     # generated arrivals come about 5,000 ticks apart, so about 40 are windowed
     stats, digest = _replay(WindowPolicy.time_based(200_000), churn_every=10, seed=4)
-    assert stats == {"pops": 2027, "score_computations": 3730, "expansions": 807}
+    assert stats == {"pops": 2027, "score_computations": 3730, "expansions": 807,
+                     "retunes": 1080}
     assert digest == "db382f041ad3ebca0505d1f8a9c09119082b904775668e73d86f6deddb758781"

@@ -1,8 +1,8 @@
 """Stateful oracle test: random interleavings of arrivals, time jumps,
-feedback, and query registration and unregistration, checked against the
-full-rescan oracle and the engine's own invariants after every step. Bad
-input the driver must reject is interleaved too, and must leave the state
-as it was.
+feedback, and query registration and unregistration (a fresh query may reuse
+the id of one just unregistered), checked against the full-rescan oracle and
+``engine.check_invariants()`` after every step. Bad input the driver must
+reject is interleaved too, and must leave the state as it was.
 
 Windows and vocabularies are small (3-12 documents or ticks, 5 terms, term
 weights 1 or 2), so results turn over, scores tie, thresholds move and
@@ -46,6 +46,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.driver = StreamDriver(self.store, self.engine, self.feedback,
                                    DedupConfig(0.9) if dedup else None)
         self.queries = {}
+        self.gone: list[str] = []  # unregistered ids, most recent last
         self.rated: set[int] = set()
         self.next_id = 1
         self.next_qid = 0
@@ -133,6 +134,16 @@ class EngineMachine(RuleBasedStateMachine):
         qid = sorted(self.queries)[pick]
         self.driver.unregister(qid)
         del self.queries[qid]
+        self.gone.append(qid)
+
+    @precondition(lambda self: len(self.queries) < MAX_QUERIES and self.gone)
+    @rule(weights=query_weights, k=ks)
+    def reregister(self, weights, k):
+        """A fresh query under the id unregistered last must not inherit what
+        the old one scored."""
+        q = mkquery(self.gone.pop(), weights, k=k)
+        self.driver.register(q)
+        self.queries[q.id] = q
 
     @invariant()
     def exact_and_consistent(self):
@@ -143,19 +154,7 @@ class EngineMachine(RuleBasedStateMachine):
             actual = eng.current_result(q.id)
             assert results_equal(expected, actual), (
                 f"query {q.id}: expected {expected}, got {actual}")
-        expected_trees = Counter()
-        for qid in self.queries:
-            st_q = eng.state(qid)
-            for tid, theta in st_q.thresholds.items():
-                expected_trees[(tid, theta, qid)] += 1
-                lst = eng.index.list_for(tid)
-                for did, w in (lst.entries() if lst else ()):
-                    assert w <= theta or did in st_q.scores, (
-                        f"query {qid}: posting ({did}, {w}) of term {tid} lies above "
-                        f"threshold {theta} but is not a candidate")
-        actual_trees = Counter((tid, theta, qid) for tid in eng.index.terms()
-                               for theta, qid in eng.index.entry(tid).tree.entries())
-        assert actual_trees == expected_trees
+        eng.check_invariants()
 
 
 TestEngineMachine = EngineMachine.TestCase
