@@ -38,6 +38,11 @@ StreamEvent = Arrival | Feedback
 
 @dataclass
 class EventOutcome:
+    """What one event did. ``changed`` names every query whose result the
+    event may have changed, so a reader that reads back only those misses
+    nothing. A single engine names exactly the queries whose top-k changed;
+    a :class:`ShardSet` names a superset (see there)."""
+
     changed: set[QueryId]
     expired: list[Document]
     duplicate_of: int | None = None

@@ -104,7 +104,7 @@ class QueryState:
         return -self.cand_keys[self.k - 1][0]
 
     def verified(self) -> list[tuple[int, float]]:
-        return [(int(-nid), -ns) for ns, nid in self.cand_keys[: self.k]]
+        return [(-nid, -ns) for ns, nid in self.cand_keys[: self.k]]
 
 
 class IncrementalTopKEngine:
@@ -217,6 +217,12 @@ class IncrementalTopKEngine:
         newer document."""
         return self.state(qid).verified()
 
+    def top_keys(self, qid: QueryId) -> list[tuple[float, int]]:
+        """The verified top-k as ranked ``(-score, -doc id)`` keys, best
+        first: the form in which a merge compares results."""
+        st = self.state(qid)
+        return st.cand_keys[: st.k]
+
     # -- search internals ----------------------------------------------------
 
     def _admit(self, st: QueryState, did: int, score: float, neg_did: int) -> int:
@@ -274,6 +280,8 @@ class IncrementalTopKEngine:
         query) hits the same queries as interleaving the two. The document's
         postings now sit at those weights, so a weight above a hit query's
         threshold lowers its ``raise_at`` to the sum that raise would reach.
+        The same pass over the query's terms adds up its raw score, in
+        ``dot_score``'s order, before the factor scales it.
         """
         for tid, w_raw in doc.composition.pairs:
             ent = self.index.entry(tid)
@@ -288,11 +296,13 @@ class IncrementalTopKEngine:
             thresholds = st.thresholds
             r = 0.0
             cheapest = inf
+            s = 0.0  # dot_score's sum, added up in the same order
             for tid, wq in st.items:
                 theta = thresholds[tid]
                 r += wq * theta
                 w = weights.get(tid)
                 if w is not None:
+                    s += wq * w
                     w *= factor  # the weight of the posting just inserted
                     if w > theta and wq * (w - theta) < cheapest:
                         cheapest = wq * (w - theta)
@@ -301,7 +311,7 @@ class IncrementalTopKEngine:
             if did in st.scores:
                 self._drop(st, did)
             k = st.k
-            if self._admit(st, did, dot_score(st.items, weights) * factor, neg_did) < k:
+            if self._admit(st, did, s * factor, neg_did) < k:
                 changed.add(qid)
                 if len(st.cand_keys) >= k and -st.cand_keys[k - 1][0] >= st.raise_at:
                     # the k-th score rose far enough to tighten a threshold

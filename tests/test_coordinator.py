@@ -89,12 +89,17 @@ def test_every_shard_registers_full_k():
 
 
 def test_sharded_results_equal_single_node_any_worker_count():
+    """At k=20 the 14-document window leaves every shard fewer than k keys,
+    and unit weights make score ties common. The merged result must match
+    one engine's, and ``changed`` must name every query whose merged result
+    changed."""
     for workers in (1, 2, 4):
         rng = random.Random(71)
         events = []
         for ev in random_events(rng, 300, vocab=6):
             events.append(ev)
-        queries = [mkquery(f"q{i}", {t: 1.0 for t in rng.sample(range(6), 2)}, k=3)
+        queries = [mkquery(f"q{i}", {t: 1.0 for t in rng.sample(range(6), 2)},
+                           k=(1, 3, 20)[i % 3])
                    for i in range(5)]
 
         store_a = DocumentStore(WindowPolicy.count_based(14))
@@ -110,15 +115,22 @@ def test_sharded_results_equal_single_node_any_worker_count():
         for q in queries:
             solo.register(q)
             shards.register(q)
+
+        def process(event):
+            before = {q.id: shards.current_result(q.id) for q in queries}
+            drv_a.process(event)
+            changed = drv_b.process(event).changed
+            moved = {qid for qid, res in before.items()
+                     if shards.current_result(qid) != res}
+            assert moved <= changed, f"changed {changed} misses {moved - changed}"
+
         for i, ev in enumerate(events):
-            drv_a.process(ev)
-            drv_b.process(ev)
+            process(ev)
             if i % 10 == 0 and len(store_a):
                 target = next(iter(store_a.documents())).id
                 doc = store_a.get(target)
                 if doc is not None and not doc.is_duplicate:
-                    drv_a.process(Feedback(target, 0.7))
-                    drv_b.process(Feedback(target, 0.7))
+                    process(Feedback(target, 0.7))
             for q in queries:
                 assert results_equal(solo.current_result(q.id),
                                      shards.current_result(q.id))

@@ -11,22 +11,23 @@ import hashlib
 import random
 
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore,
-                        IncrementalTopKEngine, Query, StreamConfig, StreamDriver,
-                        Vocabulary, WindowPolicy, generate_stream)
+                        IncrementalTopKEngine, Query, ShardSet, StreamConfig,
+                        StreamDriver, Vocabulary, WindowPolicy, generate_stream)
 from streamtopk.driver import Feedback
 from streamtopk.genstream import QueryConfig, generate_queries, token_for
 
 VOCAB = 80
 
 
-def _replay(policy, *, dedup=None, feedback_every=0, churn_every=0, seed=0):
+def _replay(policy, *, workers=1, dedup=None, feedback_every=0, churn_every=0, seed=0):
     """Replay 400 generated arrivals with near-copies against 40 queries.
 
     Every ``feedback_every``-th arrival is followed by a rating for a random
     windowed non-duplicate document. Every ``churn_every``-th arrival swaps
-    one registered query for a new one with mixed weights and k. Returns
-    the engine's stats and the sha256 of every query's result after every
-    event.
+    one registered query for a new one with mixed weights and k. With
+    ``workers`` above 1 a :class:`ShardSet` of that many engines serves the
+    queries. Returns the engine's stats (None for a ShardSet) and the sha256
+    of every query's result after every event.
     """
     rng = random.Random(seed)
     vocab = Vocabulary()
@@ -35,7 +36,8 @@ def _replay(policy, *, dedup=None, feedback_every=0, churn_every=0, seed=0):
     queries = generate_queries(QueryConfig(count=40, terms=3, k=5, seed=seed), VOCAB, vocab)
     store = DocumentStore(policy)
     fb = FeedbackStore()
-    engine = IncrementalTopKEngine(store, fb)
+    engine = (IncrementalTopKEngine(store, fb) if workers == 1
+              else ShardSet(store, workers, fb))
     driver = StreamDriver(store, engine, fb, dedup)
     live = {q.id: q for q in queries}
     for q in queries:
@@ -59,7 +61,7 @@ def _replay(policy, *, dedup=None, feedback_every=0, churn_every=0, seed=0):
             engine.register(q)
         for qid in sorted(live):
             digest.update(repr((qid, engine.current_result(qid))).encode())
-    return dict(engine.stats), digest.hexdigest()
+    return (dict(engine.stats) if workers == 1 else None), digest.hexdigest()
 
 
 def test_count_window_with_dedup_and_feedback():
@@ -75,4 +77,10 @@ def test_time_window_with_query_churn():
     stats, digest = _replay(WindowPolicy.time_based(200_000), churn_every=10, seed=4)
     assert stats == {"pops": 2027, "score_computations": 3730, "expansions": 807,
                      "retunes": 1080}
+    assert digest == "db382f041ad3ebca0505d1f8a9c09119082b904775668e73d86f6deddb758781"
+
+
+def test_time_window_two_shards_match_one_engine():
+    # the same stream and query swaps give the digest pinned above for W=1
+    _, digest = _replay(WindowPolicy.time_based(200_000), workers=2, churn_every=10, seed=4)
     assert digest == "db382f041ad3ebca0505d1f8a9c09119082b904775668e73d86f6deddb758781"

@@ -1,8 +1,10 @@
 """Stateful oracle test: random interleavings of arrivals, time jumps,
 feedback, and query registration and unregistration (a fresh query may reuse
 the id of one just unregistered), checked against the full-rescan oracle and
-``engine.check_invariants()`` after every step. Bad input the driver must
-reject is interleaved too, and must leave the state as it was.
+``engine.check_invariants()`` after every step. Each arrival and rating must
+report as ``changed`` exactly the queries whose result it changed. Bad input
+the driver must reject is interleaved too, and must leave the state as it
+was.
 
 Windows and vocabularies are small (3-12 documents or ticks, 5 terms, term
 weights 1 or 2), so results turn over, scores tie, thresholds move and
@@ -54,9 +56,18 @@ class EngineMachine(RuleBasedStateMachine):
         for weights, k in first:
             self.register(weights, k)
 
+    def process(self, event):
+        """Apply ``event``: its ``changed`` must name exactly the queries
+        whose result it changed, since readers read back only those."""
+        eng = self.engine
+        before = {qid: eng.current_result(qid) for qid in self.queries}
+        out = self.driver.process(event)
+        moved = {qid for qid, res in before.items() if eng.current_result(qid) != res}
+        assert out.changed == moved, f"changed {out.changed}, but {moved} moved"
+
     @rule(pairs=compositions)
     def arrive(self, pairs):
-        self.driver.process(Arrival(mkdoc(self.next_id, pairs, t=self.now)))
+        self.process(Arrival(mkdoc(self.next_id, pairs, t=self.now)))
         self.next_id += 1
         self.now += 1
 
@@ -75,7 +86,7 @@ class EngineMachine(RuleBasedStateMachine):
         if not pool:
             return
         did = pool[pick % len(pool)]
-        self.driver.process(Feedback(did, rating))
+        self.process(Feedback(did, rating))
         self.rated.add(did)
 
     @rule(bad=st.sampled_from(("unseen rating", "expired rating", "duplicate rating",
