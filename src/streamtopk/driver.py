@@ -38,10 +38,10 @@ StreamEvent = Arrival | Feedback
 
 @dataclass
 class EventOutcome:
-    """What one event did. ``changed`` names every query whose result the
-    event may have changed, so a reader that reads back only those misses
-    nothing. A single engine names exactly the queries whose top-k changed;
-    a :class:`ShardSet` names a superset (see there)."""
+    """What one event did. ``changed`` names exactly the queries whose
+    result the event changed, for a single engine and a :class:`ShardSet`
+    alike, so a reader that reads back only those misses nothing and reads
+    nothing twice."""
 
     changed: set[QueryId]
     expired: list[Document]
@@ -49,6 +49,17 @@ class EventOutcome:
 
 
 class StreamDriver:
+    """Feeds events to an engine over one window.
+
+    A bad event is rejected before it changes anything, so the next event
+    runs as if it never came. Once ``store.insert`` (an arrival) or
+    ``feedback.record`` (a rating) has returned, the event has begun to
+    change the state, and a raise from there on leaves the store, the
+    duplicate index, the feedback store and the engine out of step. So the
+    driver stops: every later ``process`` call raises ``RuntimeError``
+    naming the failed event.
+    """
+
     def __init__(self, store: DocumentStore, engine,
                  feedback: FeedbackStore | None = None,
                  dedup: DedupConfig | None = None):
@@ -61,6 +72,7 @@ class StreamDriver:
         self.feedback = feedback
         self.duplicates = (DuplicateIndex(dedup.similarity_threshold, store.documents())
                            if dedup is not None else None)
+        self._failed: StreamEvent | None = None
 
     def register(self, query: Query):
         return self.engine.register(query)
@@ -71,6 +83,9 @@ class StreamDriver:
     def process(self, event: StreamEvent) -> EventOutcome:
         """Apply one event. A data error names the event's stream line, if
         it has one."""
+        if self._failed is not None:
+            raise RuntimeError(f"the driver stopped after {_describe(self._failed)} "
+                               "failed part-way; its state may be inconsistent")
         try:
             if isinstance(event, Feedback):
                 return self._process_feedback(event)
@@ -88,20 +103,24 @@ class StreamDriver:
             if dup is not None:
                 doc = replace(doc, duplicate_of=dup)
         self.store.insert(doc)
-        changed: set[QueryId] = set()
-        if not doc.is_duplicate:
-            if self.duplicates is not None:
-                self.duplicates.add(doc)
-            changed |= self.engine.apply_arrival(doc)
-        expired = self.store.evict_due(doc.arrival_time)
-        ranked = [gone for gone in expired if not gone.is_duplicate]
-        if ranked:
-            if self.duplicates is not None:
-                self.duplicates.remove(ranked)
-            changed |= self.engine.apply_expirations(ranked)
-            if self.feedback is not None:
-                for gone in ranked:
-                    self.feedback.drop(gone.id)
+        try:
+            changed: set[QueryId] = set()
+            if not doc.is_duplicate:
+                if self.duplicates is not None:
+                    self.duplicates.add(doc)
+                changed |= self.engine.apply_arrival(doc)
+            expired = self.store.evict_due(doc.arrival_time)
+            ranked = [gone for gone in expired if not gone.is_duplicate]
+            if ranked:
+                if self.duplicates is not None:
+                    self.duplicates.remove(ranked)
+                changed |= self.engine.apply_expirations(ranked)
+                if self.feedback is not None:
+                    for gone in ranked:
+                        self.feedback.drop(gone.id)
+        except BaseException:
+            self._failed = event
+            raise
         return EventOutcome(changed, expired, dup)
 
     def _process_feedback(self, event: Feedback) -> EventOutcome:
@@ -115,8 +134,20 @@ class StreamDriver:
         old_factor, new_factor = self.feedback.record(event.doc_id, event.rating)
         if new_factor == old_factor:
             return EventOutcome(set(), [])
-        changed = set(self.engine.apply_feedback(doc, old_factor, new_factor))
+        try:
+            changed = set(self.engine.apply_feedback(doc, old_factor, new_factor))
+        except BaseException:
+            self._failed = event
+            raise
         return EventOutcome(changed, [])
 
     def current_result(self, qid: QueryId) -> list[tuple[int, float]]:
         return self.engine.current_result(qid)
+
+
+def _describe(event: StreamEvent) -> str:
+    if event.lineno is not None:
+        return f"the event at line {event.lineno}"
+    if isinstance(event, Feedback):
+        return f"the rating of document {event.doc_id}"
+    return f"the arrival of document {event.doc.id}"

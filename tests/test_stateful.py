@@ -1,24 +1,28 @@
 """Stateful oracle test: random interleavings of arrivals, time jumps,
 feedback, and query registration and unregistration (a fresh query may reuse
 the id of one just unregistered), checked against the full-rescan oracle and
-``engine.check_invariants()`` after every step. Each arrival and rating must
-report as ``changed`` exactly the queries whose result it changed. Bad input
-the driver must reject is interleaved too, and must leave the state as it
-was.
+the engine's ``check_invariants()`` after every step. The engine is one
+:class:`IncrementalTopKEngine` or a :class:`ShardSet` of 2 or 3 of them.
+Each arrival and rating must report as ``changed`` exactly the queries whose
+result it changed. Bad input the driver must reject is interleaved too, and
+must leave the state as it was.
 
 Windows and vocabularies are small (3-12 documents or ticks, 5 terms, term
 weights 1 or 2), so results turn over, scores tie, thresholds move and
 feedback lands on held candidates often.
+
+Shrinking is left out: a failure reports the example as generated, in
+bounded time and memory, rather than searching for a smaller one.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import Phase, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from streamtopk import (DedupConfig, DocumentStore, FeedbackStore, IncrementalTopKEngine,
-                        StreamDriver, WindowPolicy)
+                        ShardSet, StreamDriver, WindowPolicy)
 from streamtopk.driver import Arrival, Feedback
 
 from helpers import mkdoc, mkquery, oracle, results_equal
@@ -38,13 +42,18 @@ ratings = st.integers(0, 100).map(lambda r: r / 100)  # 2 decimals, as perfbench
 
 class EngineMachine(RuleBasedStateMachine):
     @initialize(kind=st.sampled_from(("count", "time")), n=st.integers(3, 12),
-                dedup=st.booleans(),
+                dedup=st.booleans(), workers=st.sampled_from((1, 2, 3)),
                 first=st.lists(st.tuples(query_weights, ks), min_size=1, max_size=2))
-    def setup(self, kind, n, dedup, first):
+    def setup(self, kind, n, dedup, workers, first):
         policy = WindowPolicy.count_based(n) if kind == "count" else WindowPolicy.time_based(n)
         self.store = DocumentStore(policy)
         self.feedback = FeedbackStore()
-        self.engine = IncrementalTopKEngine(self.store, self.feedback)
+        if workers > 1:
+            self.engine = ShardSet(self.store, workers, self.feedback)
+            self.shards = self.engine.shards
+        else:
+            self.engine = IncrementalTopKEngine(self.store, self.feedback)
+            self.shards = [self.engine]
         self.driver = StreamDriver(self.store, self.engine, self.feedback,
                                    DedupConfig(0.9) if dedup else None)
         self.queries = {}
@@ -126,9 +135,11 @@ class EngineMachine(RuleBasedStateMachine):
         eng = self.engine
         return ([d.id for d in self.store.documents()], dict(self.feedback.factors),
                 {qid: eng.current_result(qid) for qid in self.queries},
-                {qid: dict(eng.state(qid).thresholds) for qid in self.queries},
-                Counter((tid, theta, qid) for tid in eng.index.terms()
-                        for theta, qid in eng.index.entry(tid).tree.entries()))
+                [{qid: dict(shard.state(qid).thresholds) for qid in self.queries}
+                 for shard in self.shards],
+                [Counter((tid, theta, qid) for tid in shard.index.terms()
+                         for theta, qid in shard.index.entry(tid).tree.entries())
+                 for shard in self.shards])
 
     @precondition(lambda self: len(self.queries) < MAX_QUERIES)
     @rule(weights=query_weights, k=ks)
@@ -170,4 +181,5 @@ class EngineMachine(RuleBasedStateMachine):
 
 TestEngineMachine = EngineMachine.TestCase
 TestEngineMachine.settings = settings(max_examples=200, stateful_step_count=80,
-                                      deadline=None)
+                                      deadline=None,
+                                      phases=[p for p in Phase if p is not Phase.shrink])
