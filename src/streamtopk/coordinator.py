@@ -1,163 +1,93 @@
-"""Scatter-gather evaluation: document-partitioned shards plus a merging
-master.
+"""Query-partitioned evaluation: W engines over one window, each owning a
+disjoint slice of the queries.
 
-Every shard runs a complete incremental engine over its slice of the stream
-(documents routed by ``doc_id mod W``) with every query registered at full
-k, since all k global winners may live in one shard. Expiration is decided
-globally by the driver and routed to the owning shard, so window semantics
-match the single-node engine exactly.
+Every shard indexes every ranked document and sees every arrival, expiry
+batch and rating, so each query is searched by its owner exactly as one
+engine searches it: the summed search counts and every result equal a
+single engine's. No result is merged. A query is registered on the shard
+with the fewest queries (the lowest index on a tie) and read from there.
+Since the slices are disjoint, the union of the shards' ``changed`` sets
+names exactly the queries whose result changed.
 
-The master keeps each query's merged top-k: the first k of the shards'
-ranked ``(-score, -doc id)`` keys, which reproduces the single-node result,
-ties to the newer document included. ``register`` builds it with one sort of
-the shards' keys, and each event updates it in place, exactly:
-
-* An arrival that enters a shard's top-k is inserted into the merged list,
-  which is trimmed to k. A key the shard dropped for it ranked below k of
-  that shard's keys, all of them in the new union, so it cannot be in the
-  new merged top-k.
-* Expiry takes a prefix of the window in id order, so a merged list lost a
-  document exactly when its oldest id is at most the batch's newest id; only
-  those lists are merged again. Where no merged document left, a shard's
-  refill ranks below the key it replaces, which ranked below the merged
-  k-th key, so the merged list stands.
-* A rating changes only the rated document's shard; the queries that shard
-  reports are merged again.
+All shards share the one :class:`FeedbackStore`, so they read the same
+boost factors.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import itemgetter
-
 from .engine import IncrementalTopKEngine
 from .feedback import FeedbackStore
-from .index import DocumentStore
+from .index import DocumentStore, TermIndex
 from .model import Document, Query, QueryId
-
-_NEG_ID = itemgetter(1)  # of a ranked key; the largest is the oldest document's
-
-
-class MergedTopK:
-    """One query's merged top-k, best first, as ranked ``(-score, -doc id)``
-    keys and as the ``(doc id, score)`` pairs a read copies."""
-
-    __slots__ = ("k", "keys", "result")
-
-    def __init__(self, k: int, keys: list[tuple[float, int]]):
-        self.k = k
-        self.keys = keys
-        self.result = [(-nid, -ns) for ns, nid in keys]
 
 
 class ShardSet:
-    """W document-partitioned engines behind the single-engine interface.
-
-    The ``changed`` sets its event methods return name exactly the queries
-    whose merged top-k changed, as a single engine's do. Shards report every
-    query whose shard-local top-k changed, a superset: over the first 1,000
-    events of perfbench's sharded-churn workload at seed 11 they named 74
-    queries per event, of which 44 changed.
-    """
+    """W query-partitioned engines behind the single-engine interface."""
 
     def __init__(self, store: DocumentStore, workers: int,
                  feedback: FeedbackStore | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self._workers = workers
         self.store = store
-        self.feedback = feedback
-        self.shards = [IncrementalTopKEngine(store, feedback) for _ in range(workers)]
-        self._merged: dict[QueryId, MergedTopK] = {}
-
-    def _shard_of(self, doc_id: int) -> int:
-        return doc_id % self._workers
-
-    def _merge(self, qid: QueryId, k: int) -> MergedTopK:
-        keys: list[tuple[float, int]] = []
-        for shard in self.shards:
-            keys += shard.top_keys(qid)
-        keys.sort()  # each shard's keys are one ascending run
-        del keys[k:]
-        return MergedTopK(k, keys)
+        self.feedback = feedback if feedback is not None else FeedbackStore()
+        self.shards = [IncrementalTopKEngine(store, self.feedback) for _ in range(workers)]
+        self._owner: dict[QueryId, IncrementalTopKEngine] = {}
 
     def register(self, query: Query) -> None:
-        if query.id in self._merged:
+        if query.id in self._owner:
             raise ValueError(f"query id {query.id!r} already registered")
-        for shard in self.shards:
-            shard.register(query)
-        self._merged[query.id] = self._merge(query.id, query.k)
+        shard = min(self.shards, key=lambda s: len(s.queries()))
+        shard.register(query)
+        self._owner[query.id] = shard
 
     def unregister(self, qid: QueryId) -> None:
-        if qid not in self._merged:
+        shard = self._owner.pop(qid, None)
+        if shard is None:
             raise ValueError(f"unknown query id {qid!r}")
-        for shard in self.shards:
-            shard.unregister(qid)
-        del self._merged[qid]
+        shard.unregister(qid)
 
     def apply_arrival(self, doc: Document) -> set[QueryId]:
-        shard = self.shards[self._shard_of(doc.id)]
-        did = doc.id
-        changed = set()
-        for qid in shard.apply_arrival(doc):
-            m = self._merged[qid]
-            score = shard.state(qid).scores[did]
-            key = (-score, -did)
-            keys = m.keys
-            pos = bisect_left(keys, key)
-            if pos == m.k:
-                continue
-            keys.insert(pos, key)
-            m.result.insert(pos, (did, score))
-            del keys[m.k:], m.result[m.k:]
-            changed.add(qid)
+        changed: set[QueryId] = set()
+        for shard in self.shards:
+            changed |= shard.apply_arrival(doc)
         return changed
 
     def apply_expirations(self, docs: list[Document]) -> set[QueryId]:
-        by_shard: dict[int, list[Document]] = {}
-        for doc in docs:
-            by_shard.setdefault(self._shard_of(doc.id), []).append(doc)
-        reported: set[QueryId] = set()
-        for idx, batch in by_shard.items():
-            reported |= self.shards[idx].apply_expirations(batch)
-        if not reported:
-            return reported
-        newest = max(doc.id for doc in docs)
-        held = set()
-        for qid in reported:
-            m = self._merged[qid]
-            if -max(m.keys, key=_NEG_ID)[1] <= newest:
-                held.add(qid)
-                self._merged[qid] = self._merge(qid, m.k)
-        return held
+        changed: set[QueryId] = set()
+        for shard in self.shards:
+            changed |= shard.apply_expirations(docs)
+        return changed
 
     def apply_feedback(self, doc: Document, old_factor: float, new_factor: float) -> set[QueryId]:
-        shard = self.shards[self._shard_of(doc.id)]
-        moved = set()
-        for qid in shard.apply_feedback(doc, old_factor, new_factor):
-            old = self._merged[qid]
-            new = self._merged[qid] = self._merge(qid, old.k)
-            if new.keys != old.keys:
-                moved.add(qid)
-        return moved
+        changed: set[QueryId] = set()
+        for shard in self.shards:
+            changed |= shard.apply_feedback(doc, old_factor, new_factor)
+        return changed
 
     def current_result(self, qid: QueryId) -> list[tuple[int, float]]:
-        m = self._merged.get(qid)
-        if m is None:
+        shard = self._owner.get(qid)
+        if shard is None:
             raise ValueError(f"unknown query id {qid!r}")
-        return list(m.result)
+        return shard.current_result(qid)
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on the first breach: every shard's own
-        invariants, then each query's merged keys and results against a
-        fresh merge of the shards' top keys."""
+        invariants; each registered query held by exactly one shard, its
+        owner; and every shard's inverted lists holding the same runs."""
+        held: dict[QueryId, IncrementalTopKEngine] = {}
         for shard in self.shards:
             shard.check_invariants()
-            assert set(shard.queries()) == set(self._merged), (
-                "a shard's queries differ from the merged ones")
-        for qid, m in self._merged.items():
-            fresh = self._merge(qid, m.k)
-            assert m.keys == fresh.keys, (
-                f"query {qid!r}: merged keys {m.keys}, a fresh merge gives {fresh.keys}")
-            assert m.result == fresh.result, (
-                f"query {qid!r}: merged result {m.result}, a fresh merge gives {fresh.result}")
+            for qid in shard.queries():
+                assert qid not in held, f"query {qid!r} is registered on two shards"
+                held[qid] = shard
+        assert held == self._owner, "the owner map disagrees with the shards' queries"
+        first, *rest = indexes = [shard.index for shard in self.shards]
+        for tid in set().union(*(index.terms() for index in indexes)):
+            want = _runs(first, tid)
+            for index in rest:
+                assert _runs(index, tid) == want, f"term {tid}: shards index different postings"
+
+
+def _runs(index: TermIndex, tid: int) -> tuple | None:
+    lst = index.list_for(tid)
+    return (lst.weights, lst.runs) if lst else None

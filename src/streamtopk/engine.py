@@ -217,12 +217,6 @@ class IncrementalTopKEngine:
         newer document."""
         return self.state(qid).verified()
 
-    def top_keys(self, qid: QueryId) -> list[tuple[float, int]]:
-        """The verified top-k as ranked ``(-score, -doc id)`` keys, best
-        first: the form in which a merge compares results."""
-        st = self.state(qid)
-        return st.cand_keys[: st.k]
-
     # -- search internals ----------------------------------------------------
 
     def _admit(self, st: QueryState, did: int, score: float, neg_did: int) -> int:

@@ -201,7 +201,7 @@ def test_criterion_5_duplicate_suppression():
 
 
 def test_criterion_6_shard_merge_equivalence():
-    """Merged scatter-gather results equal the single-node engine exactly."""
+    """Query-partitioned shard results equal the single-node engine exactly."""
     vocab = Vocabulary()
     stream = generate_stream(StreamConfig(rate=200, vocab_size=300,
                                           doc_length=(10, 30), seed=601,
@@ -234,7 +234,7 @@ def test_criterion_6_shard_merge_equivalence():
             for q in queries:
                 assert shards.current_result(q.id) == solo_2.current_result(q.id), (
                     f"W={workers} diverged on query {q.id} at doc {ev.doc.id}")
-    print(f"\nPASS criterion 6: shard merge identical to single node for "
+    print(f"\nPASS criterion 6: query-partitioned shards identical to single node for "
           f"W in (1, 2, 4) over {len(stream)} events x {len(queries)} queries")
 
 

@@ -10,17 +10,6 @@ from streamtopk.driver import Arrival, Feedback
 from helpers import mkdoc, mkquery, random_events, results_equal
 
 
-def test_document_partitioning_by_modulo():
-    store = DocumentStore(WindowPolicy.count_based(10))
-    shards = ShardSet(store, workers=4)
-    driver = StreamDriver(store, shards)
-    driver.process(Arrival(mkdoc(7, {1: 1})))
-    driver.process(Arrival(mkdoc(8, {2: 1})))
-    owners = {tid: [i for i, s in enumerate(shards.shards) if s.index.list_for(tid)]
-              for tid in (1, 2)}
-    assert owners == {1: [3], 2: [0]}
-
-
 def test_single_worker_matches_plain_engine():
     events = random_events(random.Random(1), 120, vocab=5)
     q = mkquery("q", {0: 1.0, 1: 1.0}, k=3)
@@ -46,7 +35,6 @@ def test_merge_takes_global_best():
     shards = ShardSet(store, workers=2)
     shards.register(mkquery("q", {1: 1.0}, k=2))
     driver = StreamDriver(store, shards)
-    # shard 1 gets doc 9 (score 5); shard 0 gets docs 4 and 2 (scores 7, 1)
     driver.process(Arrival(mkdoc(2, {1: 1})))
     driver.process(Arrival(mkdoc(4, {1: 7})))
     driver.process(Arrival(mkdoc(9, {1: 5})))
@@ -58,8 +46,8 @@ def test_merge_breaks_score_ties_by_newer_id():
     shards = ShardSet(store, workers=2)
     shards.register(mkquery("q", {1: 1.0}, k=2))
     driver = StreamDriver(store, shards)
-    driver.process(Arrival(mkdoc(2, {1: 3})))  # shard 0
-    driver.process(Arrival(mkdoc(3, {1: 3})))  # shard 1
+    driver.process(Arrival(mkdoc(2, {1: 3})))
+    driver.process(Arrival(mkdoc(3, {1: 3})))
     assert [d for d, _ in shards.current_result("q")] == [3, 2]
 
 
@@ -68,66 +56,119 @@ def test_expiration_routed_to_owning_shard():
     shards = ShardSet(store, workers=2)
     shards.register(mkquery("q", {1: 1.0}, k=2))
     driver = StreamDriver(store, shards)
-    driver.process(Arrival(mkdoc(1, {1: 5})))  # shard 1
-    driver.process(Arrival(mkdoc(2, {1: 4})))  # shard 0
-    out = driver.process(Arrival(mkdoc(4, {1: 3})))  # expires doc 1 from shard 1
+    driver.process(Arrival(mkdoc(1, {1: 5})))
+    driver.process(Arrival(mkdoc(2, {1: 4})))
+    out = driver.process(Arrival(mkdoc(4, {1: 3})))  # expires doc 1
     assert [d.id for d in out.expired] == [1]
     assert not any(did == 1 for did, _ in shards.current_result("q"))
     assert shards.current_result("q") == [(2, 4.0), (4, 3.0)]
 
 
-def test_arrival_pushing_out_a_merged_shard_key():
-    """Doc 6 enters shard 0's top-2 and pushes out doc 4, shard 0's k-th
-    key, which sits in the merged top-2. The merged list must drop it as
-    one engine does."""
-    stores = [DocumentStore(WindowPolicy.count_based(10)) for _ in range(2)]
+def _owners(shards):
+    """Query id -> the index of every shard that holds it."""
+    owners = {}
+    for i, shard in enumerate(shards.shards):
+        for qid in shard.queries():
+            owners.setdefault(qid, []).append(i)
+    return owners
+
+
+def test_each_query_has_one_owner():
+    shards = ShardSet(DocumentStore(WindowPolicy.count_based(10)), workers=3)
+    for i in range(5):
+        shards.register(mkquery(f"q{i}", {i: 1.0}, k=7))
+    assert _owners(shards) == {"q0": [0], "q1": [1], "q2": [2], "q3": [0], "q4": [1]}
+    assert shards.shards[0].state("q3").k == 7
+    with pytest.raises(ValueError):
+        shards.register(mkquery("q0", {2: 1.0}, k=1))
+    shards.unregister("q0")
+    with pytest.raises(ValueError):
+        shards.unregister("q0")
+    with pytest.raises(ValueError):
+        shards.current_result("q0")
+    shards.check_invariants()
+
+
+def test_assignment_takes_the_emptiest_shard_under_churn():
+    """A query goes to the shard with the fewest queries, the lowest index
+    on a tie. A freed id re-registered goes by the same rule, not back to
+    its old shard, and its result matches one engine's."""
+    store = DocumentStore(WindowPolicy.count_based(10))
+    solo = IncrementalTopKEngine(DocumentStore(store.policy))
+    shards = ShardSet(store, workers=3)
+    drivers = [StreamDriver(solo.store, solo), StreamDriver(store, shards)]
+    for qid in "abcd":
+        for eng in (solo, shards):
+            eng.register(mkquery(qid, {1: 1.0}, k=2))
+    for did, w in ((1, 3), (2, 1), (3, 2)):
+        for drv in drivers:
+            drv.process(Arrival(mkdoc(did, {1: w, 2: 1})))
+    assert _owners(shards) == {"a": [0], "b": [1], "c": [2], "d": [0]}
+    shards.unregister("b")
+    shards.register(mkquery("e", {2: 1.0}, k=1))
+    assert _owners(shards)["e"] == [1]
+    for qid in "ac":
+        shards.unregister(qid)
+        solo.unregister(qid)
+    assert [len(s.queries()) for s in shards.shards] == [1, 1, 0]
+    for eng in (solo, shards):
+        eng.register(mkquery("a", {2: 1.0, 1: 0.5}, k=2))
+    assert _owners(shards) == {"d": [0], "e": [1], "a": [2]}
+    shards.check_invariants()
+    for did in (4, 5):
+        for drv in drivers:
+            drv.process(Arrival(mkdoc(did, {2: did})))
+    assert shards.current_result("a") == solo.current_result("a") == [(5, 5.0), (4, 4.0)]
+    assert shards.current_result("d") == solo.current_result("d")
+    shards.check_invariants()
+
+
+def test_a_shard_without_queries_indexes_every_ranked_document():
+    store = DocumentStore(WindowPolicy.count_based(10))
+    shards = ShardSet(store, workers=3)
+    shards.register(mkquery("q", {1: 1.0}, k=2))
+    driver = StreamDriver(store, shards, dedup=DedupConfig(0.9))
+    driver.process(Arrival(mkdoc(1, {1: 2, 2: 1})))
+    assert driver.process(Arrival(mkdoc(2, {1: 2, 2: 1}))).duplicate_of == 1
+    driver.process(Arrival(mkdoc(3, {2: 5})))
+    for shard in shards.shards:
+        assert shard.index.list_for(1).entries() == [(1, 2.0)]
+        assert shard.index.list_for(2).entries() == [(3, 5.0), (1, 1.0)]
+    assert [len(s.queries()) for s in shards.shards] == [1, 0, 0]
+    shards.check_invariants()
+
+
+def test_changed_is_exact_when_several_shards_report():
+    """One arrival changes a query on each of two shards and leaves a third
+    query, beside one of them, alone. A later arrival changes the third
+    while the expiry it causes changes the other two."""
+    stores = [DocumentStore(WindowPolicy.count_based(2)) for _ in range(2)]
     solo = IncrementalTopKEngine(stores[0])
     shards = ShardSet(stores[1], workers=2)
     drivers = [StreamDriver(stores[0], solo), StreamDriver(stores[1], shards)]
-    for engine in (solo, shards):
-        engine.register(mkquery("q", {1: 1.0}, k=2))
-    for did, w in ((1, 1), (2, 5), (4, 4)):
-        for drv in drivers:
-            drv.process(Arrival(mkdoc(did, {1: w})))
-    assert shards.current_result("q") == [(2, 5.0), (4, 4.0)]
-    assert shards.shards[0].top_keys("q")[-1] == (-4.0, -4)
-    outs = [drv.process(Arrival(mkdoc(6, {1: 6}))) for drv in drivers]
-    assert shards.current_result("q") == solo.current_result("q") == [(6, 6.0), (2, 5.0)]
-    assert outs[1].changed == outs[0].changed == {"q"}
+    for qid, terms in (("x", {1: 1.0}), ("y", {1: 1.0, 2: 1.0}), ("z", {3: 1.0})):
+        for eng in (solo, shards):
+            eng.register(mkquery(qid, terms, k=1))
+    assert _owners(shards) == {"x": [0], "y": [1], "z": [0]}
+    outs = [drv.process(Arrival(mkdoc(1, {1: 1, 2: 1}))) for drv in drivers]
+    assert outs[1].changed == outs[0].changed == {"x", "y"}
+    outs = [drv.process(Arrival(mkdoc(2, {3: 1}))) for drv in drivers]
+    assert outs[1].changed == outs[0].changed == {"z"}
+    outs = [drv.process(Arrival(mkdoc(3, {3: 2}))) for drv in drivers]
+    assert [d.id for d in outs[1].expired] == [1]
+    assert outs[1].changed == outs[0].changed == {"x", "y", "z"}
+    for qid in "xyz":
+        assert shards.current_result(qid) == solo.current_result(qid)
     shards.check_invariants()
 
 
-def test_expiry_refill_below_merged_kth_is_not_reported():
-    """Doc 2 leaves shard 0's top-2 and doc 4 refills it, but shard 1 holds
-    the merged top-2: the query's result does not move and is not
-    reported, although shard 0's top-k changed."""
-    store = DocumentStore(WindowPolicy.count_based(5))
-    shards = ShardSet(store, workers=2)
-    shards.register(mkquery("q", {1: 1.0}, k=2))
-    driver = StreamDriver(store, shards)
-    for did, w in ((2, 2), (3, 9), (4, 1), (5, 8), (6, 1.5)):
-        driver.process(Arrival(mkdoc(did, {1: w})))
-    before = shards.current_result("q")
-    shard_before = shards.shards[0].top_keys("q")
-    assert before == [(3, 9.0), (5, 8.0)]
-    out = driver.process(Arrival(mkdoc(7, {2: 1})))  # expires doc 2
-    assert [d.id for d in out.expired] == [2]
-    assert shards.shards[0].top_keys("q") != shard_before
-    assert shards.current_result("q") == before
-    assert out.changed == set()
-    shards.check_invariants()
-
-
-def test_every_shard_registers_full_k():
-    shards = ShardSet(DocumentStore(WindowPolicy.count_based(10)), workers=3)
-    shards.register(mkquery("q", {1: 1.0}, k=7))
-    for shard in shards.shards:
-        assert shard.state("q").k == 7
-    with pytest.raises(ValueError):
-        shards.register(mkquery("q", {2: 1.0}, k=1))
-    shards.unregister("q")
-    with pytest.raises(ValueError):
-        shards.unregister("q")
+def test_shards_share_one_feedback_store():
+    store = DocumentStore(WindowPolicy.count_based(10))
+    shards = ShardSet(store, workers=3)
+    assert isinstance(shards.feedback, FeedbackStore)
+    assert all(shard.feedback is shards.feedback for shard in shards.shards)
+    given = FeedbackStore()
+    assert all(shard.feedback is given for shard in ShardSet(store, 2, given).shards)
 
 
 def test_sharded_results_equal_single_node_any_worker_count():

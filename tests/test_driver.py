@@ -47,6 +47,32 @@ def test_failure_after_the_first_change_stops_the_driver(workers, method, event,
             driver.process(later)
 
 
+@pytest.mark.parametrize("method, event, named", [
+    ("apply_arrival", Arrival(mkdoc(4, {1: 4}), lineno=17), "line 17"),
+    ("apply_feedback", Feedback(2, 0.5), "rating of document 2"),
+])
+def test_failure_in_the_second_shard_stops_the_driver(method, event, named, monkeypatch):
+    """The first shard has applied the event when the second raises, so the
+    shards are out of step with each other as well as with the store."""
+    driver, engines = _build(2)
+    applied = []
+    first = getattr(engines[0], method)
+
+    def spy(*args):
+        applied.append(first(*args))
+        return applied[-1]
+
+    monkeypatch.setattr(engines[0], method, spy)
+    monkeypatch.setattr(engines[1], method, _raise)
+    with pytest.raises(RuntimeError, match="engine fault"):
+        driver.process(event)
+    assert len(applied) == 1
+    monkeypatch.undo()
+    for later in (Arrival(mkdoc(5, {1: 5})), Feedback(3, 0.9)):
+        with pytest.raises(RuntimeError, match=f"stopped after the .*{named} failed"):
+            driver.process(later)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_value_error_after_the_first_change_stops_the_driver(workers, monkeypatch):
     driver, engines = _build(workers)

@@ -124,8 +124,7 @@ def test_perfbench_build_replay_and_instrumentation(workers, monkeypatch):
         if not isinstance(ev, Feedback):
             n_arrivals += 1
             n_ranked += out.duplicate_of is None  # only these reach an engine
-            owner = engines[ev.doc.id % workers]
-            assert isinstance(owner.last_scored, dict)
+            assert all(isinstance(eng.last_scored, dict) for eng in engines)
         if i % 10 == 9 and pool:
             drv.unregister(live.pop(0).id)
             live.append(pool.pop(0))
@@ -140,18 +139,18 @@ def test_perfbench_build_replay_and_instrumentation(workers, monkeypatch):
     assert all(isinstance(r, tuple) and len(r) == 2 for r in records.results)
     assert any(old == new for old, new in records.results)
     assert any(old != new for old, new in records.results)
-    assert sum(c.calls for c in arrivals) == n_ranked < n_arrivals
-    assert sum(c.calls for c in adds) == n_ranked
+    assert n_ranked < n_arrivals
+    assert all(c.calls == n_ranked for c in arrivals + adds)  # every engine sees each
     assert sum(c.calls for c in expires) > 0
     assert sum(c.calls for c in removes) > 0
 
+    states = [eng.state(q) for eng in engines for q in eng.queries()]
+    assert len(states) == len(live)  # each query on one engine
+    assert all(isinstance(st.cand_keys, list) for st in states)
     for eng in engines:
         for key in STATS_KEYS:
             assert isinstance(eng.stats[key], int)
         assert eng.stats["expansions"] > 0
-        states = [eng.state(q) for q in eng.queries()]
-        assert len(states) == len(live)
-        assert all(isinstance(st.cand_keys, list) for st in states)
         ix = eng.index
         assert sum(len(ix.list_for(t)) for t in ix.terms()) > 0
         assert sum(len(ix.entry(t).tree) for t in ix.terms()) > 0

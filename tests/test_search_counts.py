@@ -26,8 +26,8 @@ def _replay(policy, *, workers=1, dedup=None, feedback_every=0, churn_every=0, s
     windowed non-duplicate document. Every ``churn_every``-th arrival swaps
     one registered query for a new one with mixed weights and k. With
     ``workers`` above 1 a :class:`ShardSet` of that many engines serves the
-    queries. Returns the engine's stats (None for a ShardSet) and the sha256
-    of every query's result after every event.
+    queries. Returns the engine's stats (summed over the shards of a
+    ShardSet) and the sha256 of every query's result after every event.
     """
     rng = random.Random(seed)
     vocab = Vocabulary()
@@ -61,7 +61,9 @@ def _replay(policy, *, workers=1, dedup=None, feedback_every=0, churn_every=0, s
             engine.register(q)
         for qid in sorted(live):
             digest.update(repr((qid, engine.current_result(qid))).encode())
-    return (dict(engine.stats) if workers == 1 else None), digest.hexdigest()
+    shards = engine.shards if workers > 1 else [engine]
+    return ({key: sum(s.stats[key] for s in shards) for key in shards[0].stats},
+            digest.hexdigest())
 
 
 def test_count_window_with_dedup_and_feedback():
@@ -81,6 +83,9 @@ def test_time_window_with_query_churn():
 
 
 def test_time_window_two_shards_match_one_engine():
-    # the same stream and query swaps give the digest pinned above for W=1
-    _, digest = _replay(WindowPolicy.time_based(200_000), workers=2, churn_every=10, seed=4)
+    # each query is searched on its one shard as on one engine, so the same
+    # stream and query swaps give the counts and digest pinned above for W=1
+    stats, digest = _replay(WindowPolicy.time_based(200_000), workers=2, churn_every=10, seed=4)
+    assert stats == {"pops": 2027, "score_computations": 3730, "expansions": 807,
+                     "retunes": 1080}
     assert digest == "db382f041ad3ebca0505d1f8a9c09119082b904775668e73d86f6deddb758781"

@@ -135,7 +135,7 @@ class EngineMachine(RuleBasedStateMachine):
         eng = self.engine
         return ([d.id for d in self.store.documents()], dict(self.feedback.factors),
                 {qid: eng.current_result(qid) for qid in self.queries},
-                [{qid: dict(shard.state(qid).thresholds) for qid in self.queries}
+                [{qid: dict(shard.state(qid).thresholds) for qid in shard.queries()}
                  for shard in self.shards],
                 [Counter((tid, theta, qid) for tid in shard.index.terms()
                          for theta, qid in shard.index.entry(tid).tree.entries())
