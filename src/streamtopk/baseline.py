@@ -85,6 +85,10 @@ class FullRescanEngine:
         del self._queries[qid]
         del self._results[qid]
 
+    def check_invariants(self) -> None:
+        """Nothing to check: a rescan baseline states no invariant beyond its
+        results, which the oracle checks."""
+
     def _compute(self, query: Query,
                  window: list[tuple[int, dict[int, float]]]) -> list[tuple[int, float]]:
         self.rescan_count += 1
@@ -260,3 +264,7 @@ class BufferedRescanEngine:
         if buf is None:
             raise ValueError(f"unknown query id {qid!r}")
         return buf.top_k()
+
+    def check_invariants(self) -> None:
+        """Nothing to check: a rescan baseline states no invariant beyond its
+        results, which the oracle checks."""

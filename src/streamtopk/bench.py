@@ -42,6 +42,15 @@ class VerificationError(AssertionError):
         self.qid = qid
 
 
+class InvariantBreach(VerificationError):
+    """An engine's ``check_invariants()`` failed at a verified event."""
+
+    def __init__(self, event: int, breach: AssertionError):
+        AssertionError.__init__(self, f"event {event}: engine invariant breached: {breach}")
+        self.event = event
+        self.qid = None
+
+
 @dataclass
 class MetricsRecord:
     event: int
@@ -132,6 +141,10 @@ class _Replay:
                 actual = engine.current_result(q.id)
                 if not results_match(oracle, actual):
                     raise VerificationError(i, q.id, oracle, actual)
+            try:
+                engine.check_invariants()
+            except AssertionError as exc:
+                raise InvariantBreach(i, exc) from exc
 
     def result(self) -> BenchResult:
         records = self.records
@@ -154,8 +167,8 @@ def run_benchmark(engine_name: str, events: list[StreamEvent], queries: list[Que
 
     ``prefill`` events populate the window untimed. With ``verify_every`` set,
     every M-th measured event cross-checks all current results against a
-    fresh full-window rescan and raises :class:`VerificationError` on any
-    mismatch.
+    fresh full-window rescan and runs the engine's ``check_invariants()``,
+    and raises :class:`VerificationError` on any mismatch or breach.
     """
     replay = _Replay(engine_name, events, queries, policy, alpha=alpha,
                      dedup=dedup, prefill=prefill, verify_every=verify_every)

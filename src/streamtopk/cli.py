@@ -7,7 +7,7 @@ Subcommands:
     bench   run parameter sweeps and emit summary CSVs
 
 Exit codes: 0 success, 1 configuration error, 2 data/parse error,
-3 oracle verification mismatch.
+3 oracle verification mismatch or engine invariant breach.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.2,
                    help="feedback boost coefficient (default 0.2)")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check results against a full rescan while replaying")
+                   help="cross-check results against a full rescan, and run the "
+                        "engine's invariant check, while replaying")
     p.add_argument("--verify-every", type=int, default=100, metavar="M",
                    help="verify every M-th event (default 100)")
 

@@ -42,6 +42,14 @@ inserted weights, ``_rescore`` lowers it for every hit. Expiry only removes
 postings, which can leave it low but never high, so a skipped rollup is
 always one that would have changed nothing.
 
+The record of who scored what, ``_rev``, maps each windowed document to a
+mask of query slots, with bit ``slot`` set for each query that scored it,
+candidate or dropped. A query takes the smallest free slot at ``register``.
+``unregister`` clears its bit from every mask before freeing the slot, so a
+query registered later into that slot, or under that id, inherits nothing.
+A new slot is opened only when none is free, so no mask is wider than the
+most queries ever registered at once, one bit each.
+
 A candidate enters a query's state only through ``_admit`` and leaves only
 through ``_drop``. Arrival and feedback share one rescore step: probe the
 threshold trees with the document's boosted weights, then score each hit
@@ -73,28 +81,33 @@ class QueryState:
 
     ``cand_keys`` holds ``(-score, -doc_id)`` keys in ascending order, i.e.
     candidates sorted by (score desc, doc id desc); the first k entries are
-    the verified result. Candidates are the k-skyband of the scored
-    documents: ones with k newer candidates ranked above them are dropped
-    once the list grows past ``prune_at`` entries. ``thresholds`` maps each
-    query term to its current local threshold, which doubles as the
-    value-based resume position of the last search (the run to resume from
-    is recovered by bisecting for it). ``raise_at`` is the k-th score from
-    which a rollup can raise some threshold (``-inf`` below k candidates,
-    ``inf`` when no threshold can rise), or less.
+    the verified result, which ``result`` keeps as (doc id, score) pairs.
+    Candidates are the k-skyband of the scored documents: ones with k newer
+    candidates ranked above them are dropped once the list grows past
+    ``prune_at`` entries. ``thresholds`` maps each query term to its current
+    local threshold, which doubles as the value-based resume position of the
+    last search (the run to resume from is recovered by bisecting for it).
+    ``raise_at`` is the k-th score from which a rollup can raise some
+    threshold (``-inf`` below k candidates, ``inf`` when no threshold can
+    rise), or less. ``slot`` is the query's bit position in the engine's
+    ``_rev`` masks, and ``bit`` is ``1 << slot``.
     """
 
-    __slots__ = ("query", "k", "items", "cand_keys", "scores", "thresholds",
-                 "raise_at", "prune_at")
+    __slots__ = ("query", "k", "items", "cand_keys", "result", "scores", "thresholds",
+                 "raise_at", "prune_at", "slot", "bit")
 
-    def __init__(self, query: Query):
+    def __init__(self, query: Query, slot: int):
         self.query = query
         self.k = query.k
         self.items = query.items
         self.cand_keys: list[tuple[float, int]] = []
+        self.result: list[tuple[int, float]] = []
         self.scores: dict[int, float] = {}
         self.thresholds: dict[int, float] = {}
         self.raise_at = -inf
         self.prune_at = query.k
+        self.slot = slot
+        self.bit = 1 << slot
 
     @property
     def s_k(self) -> float | None:
@@ -102,9 +115,6 @@ class QueryState:
         if len(self.cand_keys) < self.k:
             return None
         return -self.cand_keys[self.k - 1][0]
-
-    def verified(self) -> list[tuple[int, float]]:
-        return [(-nid, -ns) for ns, nid in self.cand_keys[: self.k]]
 
 
 class IncrementalTopKEngine:
@@ -121,8 +131,11 @@ class IncrementalTopKEngine:
         self.feedback = feedback if feedback is not None else FeedbackStore()
         self.index = TermIndex()
         self._states: dict[QueryId, QueryState] = {}
-        # windowed doc id -> the queries that scored it, candidate or dropped
-        self._rev: dict[int, set[QueryId]] = {}
+        self._slots: list[QueryState | None] = []  # slot -> its query, None if free
+        self._free: list[int] = []  # a min-heap of the free slots
+        # windowed doc id -> the mask of the slots of the queries that scored
+        # it, candidate or dropped
+        self._rev: dict[int, int] = {}
         self.stats = {"pops": 0, "score_computations": 0, "expansions": 0, "retunes": 0}
         self.last_scored: dict[QueryId, int] = {}
 
@@ -131,7 +144,12 @@ class IncrementalTopKEngine:
     def register(self, query: Query) -> QueryState:
         if query.id in self._states:
             raise ValueError(f"query id {query.id!r} already registered")
-        st = QueryState(query)
+        if self._free:
+            st = QueryState(query, heappop(self._free))
+            self._slots[st.slot] = st
+        else:
+            st = QueryState(query, len(self._slots))
+            self._slots.append(st)
         self._states[query.id] = st
         self._expand(st)
         return st
@@ -146,14 +164,20 @@ class IncrementalTopKEngine:
                 ent.tree.remove(qid, theta)
                 self.index.gc(tid)
         # dropped candidates are in ``_rev`` too, so sweep all of it: a query
-        # registered later under this id must not skip what this one scored
+        # registered later into this slot must not skip what this one scored
+        rev = self._rev
+        bit = st.bit
         emptied = []
-        for did, holders in self._rev.items():
-            holders.discard(qid)
-            if not holders:
-                emptied.append(did)
+        for did, mask in rev.items():
+            if mask & bit:
+                if mask == bit:
+                    emptied.append(did)
+                else:
+                    rev[did] = mask ^ bit  # same key: the dict keeps its size
         for did in emptied:
-            del self._rev[did]
+            del rev[did]
+        self._slots[st.slot] = None
+        heappush(self._free, st.slot)
 
     def queries(self) -> Iterable[QueryId]:
         return self._states.keys()
@@ -186,10 +210,10 @@ class IncrementalTopKEngine:
             self.index.remove_document(doc, self.feedback.factor(doc.id))
         refill: dict[QueryId, QueryState] = {}
         for doc in docs:
-            for qid in self._rev.pop(doc.id, ()):
-                st = self._states[qid]
-                if doc.id in st.scores and self._drop(st, doc.id) < st.k:
-                    refill[qid] = st
+            did = doc.id
+            for st in self._scorers(self._rev.pop(did, 0)):
+                if did in st.scores and self._drop(st, did) < st.k:
+                    refill[st.query.id] = st
         for st in refill.values():
             self._expand(st)
         return set(refill)
@@ -204,7 +228,8 @@ class IncrementalTopKEngine:
         document now ranks within the top k.
         """
         self.index.reindex_document(doc, old_factor, new_factor)
-        return self._rescore(doc, new_factor, set(self._rev.get(doc.id, ())))
+        scorers = self._scorers(self._rev.get(doc.id, 0))
+        return self._rescore(doc, new_factor, {st.query.id for st in scorers})
 
     def finalize_event(self) -> set[QueryId]:
         """Results are maintained inline; nothing to do per event."""
@@ -214,33 +239,63 @@ class IncrementalTopKEngine:
 
     def current_result(self, qid: QueryId) -> list[tuple[int, float]]:
         """The verified top-k as (doc id, score), best first; ties favour the
-        newer document."""
-        return self.state(qid).verified()
+        newer document. The list is the caller's own copy."""
+        return list(self.state(qid).result)
+
+    def _scorers(self, mask: int) -> list[QueryState]:
+        """The states of the queries whose slot bits ``mask`` sets, lowest
+        slot first.
+
+        Reversed, ``bin(mask)`` lists bit i at index i, so splitting it at
+        each ``'1'`` leaves one piece per set bit, holding the zeros below it.
+        The per-character work runs in C: on masks of about 100 set bits this
+        ran as fast as a per-byte table, and twice as fast as a
+        ``mask & -mask`` loop.
+        """
+        slots = self._slots
+        out = []
+        slot = -1
+        pieces = bin(mask)[:1:-1].split("1")
+        pieces.pop()  # the zeros above the highest set bit (none: '')
+        for piece in pieces:
+            slot += len(piece) + 1
+            out.append(slots[slot])
+        return out
 
     # -- search internals ----------------------------------------------------
 
     def _admit(self, st: QueryState, did: int, score: float, neg_did: int) -> int:
         """Make ``did`` a candidate of ``st`` at ``score``; returns its rank.
+        The caller sets the query's bit in ``_rev``.
 
         ``neg_did`` is ``-did``, negated once by the caller so that the keys
         one document gets in many queries share one int object.
         """
         self.stats["score_computations"] += 1
         key = (-score, neg_did)
-        pos = bisect_left(st.cand_keys, key)
-        st.cand_keys.insert(pos, key)
+        cand_keys = st.cand_keys
+        pos = bisect_left(cand_keys, key)
+        cand_keys.insert(pos, key)
         st.scores[did] = score
-        holders = self._rev.get(did)
-        if holders is None:
-            holders = self._rev[did] = set()
-        holders.add(st.query.id)
+        if pos < st.k:
+            result = st.result
+            result.insert(pos, (did, score))
+            if len(result) > st.k:
+                result.pop()
         return pos
 
     def _drop(self, st: QueryState, did: int) -> int:
         """Remove candidate ``did`` from ``st``; returns the rank it held.
         The caller keeps ``_rev`` in step."""
-        pos = bisect_left(st.cand_keys, (-st.scores.pop(did), -did))
-        del st.cand_keys[pos]
+        cand_keys = st.cand_keys
+        pos = bisect_left(cand_keys, (-st.scores.pop(did), -did))
+        del cand_keys[pos]
+        k = st.k
+        if pos < k:
+            del st.result[pos]
+            if len(cand_keys) >= k:  # the old (k+1)-th moves up into the top k
+                ns, nid = cand_keys[k - 1]
+                st.result.append((-nid, -ns))
         return pos
 
     def _prune(self, st: QueryState) -> None:
@@ -285,8 +340,10 @@ class IncrementalTopKEngine:
         weights = doc.composition.weights
         did = doc.id
         neg_did = -did
+        scored = 0  # the mask of the slots scored here
         for qid in affected:
             st = self._states[qid]
+            scored |= st.bit
             thresholds = st.thresholds
             r = 0.0
             cheapest = inf
@@ -312,6 +369,9 @@ class IncrementalTopKEngine:
                     self._retune(st, dict(thresholds))
             if len(st.cand_keys) > st.prune_at:
                 self._prune(st)
+        if scored:
+            # ``affected`` holds every query that scored the document before
+            self._rev[did] = scored
         self.last_scored = dict.fromkeys(affected, 1)
         return changed
 
@@ -331,7 +391,7 @@ class IncrementalTopKEngine:
         store = self.store
         feedback = self.feedback
         rev = self._rev
-        qid = st.query.id
+        bit = st.bit
         k = st.k
         cand_keys = st.cand_keys
 
@@ -377,7 +437,9 @@ class IncrementalTopKEngine:
             at[best] += 1
             self.stats["pops"] += len(run)
             for did in run:
-                if qid not in rev.get(did, ()):
+                mask = rev.get(did, 0)
+                if not mask & bit:
+                    rev[did] = mask | bit
                     s = dot_score(st.items, store.get(did).composition.weights)
                     self._admit(st, did, s * feedback.factor(did), -did)
 
@@ -458,9 +520,12 @@ class IncrementalTopKEngine:
         """Raise ``AssertionError`` on the first breach of the engine's
         invariants. A full check, meant for tests; ``python -O`` skips it.
 
-        * ``_rev`` holds only windowed documents and registered queries, and
-          covers every candidate; each candidate list is sorted and agrees
-          with its scores.
+        * Each query's ``bit`` is ``1 << slot`` and its slot holds it; the
+          other slots are exactly the free ones.
+        * ``_rev`` holds only windowed documents, as masks that are not 0 and
+          set no free slot's bit, and covers every candidate; each candidate
+          list is sorted and agrees with its scores, and ``result`` is its
+          first k entries.
         * Every posting strictly above a query's local threshold belongs to
           a document the query has scored.
         * Every scored document a query no longer holds has k newer
@@ -468,18 +533,29 @@ class IncrementalTopKEngine:
         * The threshold trees hold exactly the queries' local thresholds.
         * ``raise_at`` does not exceed the cheapest single raise.
         """
-        states, rev, index = self._states, self._rev, self.index
-        for did, holders in rev.items():
+        states, slots, rev, index = self._states, self._slots, self._rev, self.index
+        live = 0
+        for qid, st in states.items():
+            assert st.bit == 1 << st.slot, f"query {qid!r}: bit {st.bit} is not slot {st.slot}'s"
+            assert slots[st.slot] is st, f"query {qid!r}: slot {st.slot} holds another query"
+            live |= st.bit
+        assert sum(st is not None for st in slots) == len(states), (
+            "the slot list holds a query that is not registered")
+        assert sorted(self._free) == [i for i, st in enumerate(slots) if st is None], (
+            "the free slots are not exactly the unused ones")
+        for did, mask in rev.items():
             assert did in self.store, f"_rev holds document {did}, which left the window"
-            assert holders, f"_rev holds an empty set for document {did}"
-            for qid in holders:
-                assert qid in states, f"_rev holds unregistered query {qid!r} for {did}"
+            assert mask > 0, f"_rev holds the empty mask {mask} for document {did}"
+            assert not mask & ~live, f"_rev sets a free slot's bit for document {did}"
         trees: Counter = Counter()
         for qid, st in states.items():
             assert st.cand_keys == sorted((-s, -did) for did, s in st.scores.items()), (
                 f"query {qid!r}: candidate keys disagree with scores")
+            assert st.result == [(-nid, -ns) for ns, nid in st.cand_keys[:st.k]], (
+                f"query {qid!r}: the kept result is not the top k candidates")
+            bit = st.bit
             for did in st.scores:
-                assert qid in rev.get(did, ()), f"query {qid!r}: candidate {did} not in _rev"
+                assert rev.get(did, 0) & bit, f"query {qid!r}: candidate {did} not in _rev"
             for tid, theta in st.thresholds.items():
                 trees[(tid, theta, qid)] += 1
                 lst = index.list_for(tid)
@@ -487,11 +563,11 @@ class IncrementalTopKEngine:
                     if w <= theta:
                         break
                     for did in run:
-                        assert qid in rev.get(did, ()), (
+                        assert rev.get(did, 0) & bit, (
                             f"query {qid!r}: posting ({did}, {w}) of term {tid} lies above "
                             f"threshold {theta} but was never scored")
-            for did, holders in rev.items():
-                if qid not in holders or did in st.scores:
+            for did, mask in rev.items():
+                if not mask & bit or did in st.scores:
                     continue
                 score = (dot_score(st.items, self.store.get(did).composition.weights)
                          * self.feedback.factor(did))

@@ -229,7 +229,7 @@ def test_dominated_candidate_leaves_the_list_but_stays_scored():
     st = eng.register(mkquery("Q", {RED: 1.0}, k=1))
     _fill(driver, [mkdoc(1, {RED: 2}), mkdoc(2, {RED: 3})])
     assert st.scores == {2: 3.0}  # doc 2 is newer and ranks above doc 1
-    assert eng._rev[1] == {"Q"}
+    assert [s.query.id for s in eng._scorers(eng._rev[1])] == ["Q"]
     eng.check_invariants()
 
 
@@ -395,6 +395,18 @@ def test_current_result_empty_window():
     store, eng, driver = _engine()
     eng.register(mkquery("Q", {1: 1.0}, k=3))
     assert eng.current_result("Q") == []
+
+
+def test_returned_result_is_the_callers_copy():
+    store, eng, driver = _engine()
+    _fill(driver, [mkdoc(1, {1: 2}), mkdoc(2, {1: 3})])
+    eng.register(mkquery("Q", {1: 1.0}, k=2))
+    got = eng.current_result("Q")
+    got.pop()
+    got.append((99, 9.0))
+    got.reverse()
+    assert eng.current_result("Q") == [(2, 3.0), (1, 2.0)]
+    eng.check_invariants()
 
 
 def test_equal_scores_rank_newer_first():

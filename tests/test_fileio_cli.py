@@ -246,6 +246,31 @@ def test_verification_mismatch_exits_three(tmp_path, monkeypatch):
                     "--verify"]) == 3
 
 
+def test_invariant_breach_exits_three(tmp_path, monkeypatch, capsys):
+    """An engine whose results stay right but whose ``_rev`` loses each
+    arrival is caught by ``check_invariants()`` at the first verified event."""
+    import streamtopk.bench as bench_mod
+    from streamtopk import IncrementalTopKEngine
+
+    class Corrupted(IncrementalTopKEngine):
+        def apply_arrival(self, doc):
+            changed = super().apply_arrival(doc)
+            self._rev.pop(doc.id, None)
+            return changed
+
+    monkeypatch.setattr(bench_mod, "build_engine",
+                        lambda name, store, feedback: Corrupted(store, feedback))
+    stream = tmp_path / "s.tsv"
+    stream.write_text("1\t0\t@\ta:1\n2\t1\t@\ta:2\n")
+    qfile = tmp_path / "q.tsv"
+    qfile.write_text("q1\t1\ta\n")
+    assert run_cli(["ingest", "--stream", str(stream), "--queries", str(qfile),
+                    "--verify", "--verify-every", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "verification failed: event 0: engine invariant breached" in err
+    assert "candidate 1 not in _rev" in err
+
+
 def test_bench_sweep_summary(tmp_path):
     summary = tmp_path / "summary.csv"
     assert run_cli(["bench", "--sweep", "n=2,3", "--engines", "ita,naive-kmax",
