@@ -3,11 +3,10 @@
 An in-memory engine that keeps, for every registered text query, the k
 documents of the current window most similar to the query's weighted terms,
 updating results incrementally on every arrival and expiration. Ships with
-full-rescan baselines (plain and k_max-buffered) in ``streamtopk.baseline``,
-near-duplicate suppression, relevance-feedback boosting, and a replay
-harness. ``ShardSet`` (engines that each index the whole window and own a
-slice of the queries) remains only as the fixture of the sharded benchmark
-workload.
+a full-rescan baseline and oracle in ``streamtopk.baseline``, near-duplicate
+suppression, relevance-feedback boosting, and a replay harness.
+``ShardSet`` (engines that each index the whole window and own a slice of
+the queries) remains only as the fixture of the sharded benchmark workload.
 
 The package root exports what the README and the benchmark use; everything
 else is imported from its submodule.

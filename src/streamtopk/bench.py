@@ -16,7 +16,7 @@ import gc
 import time
 from dataclasses import dataclass, field, replace
 
-from .baseline import BufferedRescanEngine, FullRescanEngine, naive_top_k
+from .baseline import FullRescanEngine, naive_top_k
 from .dedup import DedupConfig
 from .driver import Feedback, StreamDriver, StreamEvent
 from .engine import IncrementalTopKEngine
@@ -25,7 +25,7 @@ from .genstream import QueryConfig, StreamConfig, generate_queries, generate_str
 from .index import DocumentStore, WindowPolicy
 from .model import Query, Vocabulary
 
-ENGINE_NAMES = ("ita", "naive", "naive-kmax")
+ENGINE_NAMES = ("ita", "naive")
 
 SCORE_TOLERANCE = 1e-9
 
@@ -74,9 +74,7 @@ def build_engine(name: str, store: DocumentStore, feedback: FeedbackStore):
         raise ValueError(f"unknown engine {name!r}; choose from {ENGINE_NAMES}")
     if name == "ita":
         return IncrementalTopKEngine(store, feedback)
-    if name == "naive":
-        return FullRescanEngine(store, feedback)
-    return BufferedRescanEngine(store, feedback)
+    return FullRescanEngine(store, feedback)
 
 
 def results_match(expected, actual) -> bool:
@@ -204,6 +202,8 @@ def sweep(param: str, values: list[int], *, stream: StreamConfig,
         raise ValueError("sweep parameter must be 'n' or 'N'")
     if not values or sorted(values) != list(values):
         raise ValueError("sweep values must be non-empty and ascending")
+    if measured_events < 1:
+        raise ValueError("measured_events must be >= 1")
     inputs = []
     for value in values:
         n_window = value if param == "N" else window_n

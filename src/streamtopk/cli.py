@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack
+from dataclasses import replace
 
 from .bench import (ENGINE_NAMES, VerificationError, run_benchmark, sweep)
 from .dedup import DedupConfig
@@ -41,8 +42,14 @@ def _doc_len(text: str) -> tuple[int, int]:
     return int(lo), int(hi or lo)
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=ENGINE_NAMES, default="ita")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_replay_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dedup-threshold", type=float, default=None, metavar="T",
                    help="cosine threshold in (0, 1] for duplicate suppression "
                         "(default off)")
@@ -51,7 +58,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verify", action="store_true",
                    help="cross-check results against a full rescan, and run the "
                         "engine's invariant check, while replaying")
-    p.add_argument("--verify-every", type=int, default=100, metavar="M",
+    p.add_argument("--verify-every", type=_positive_int, default=100, metavar="M",
                    help="verify every M-th event (default 100)")
 
 
@@ -89,7 +96,8 @@ def build_parser() -> _Parser:
                    help="window policy (default count-based)")
     i.add_argument("--n", type=int, default=1000, metavar="N",
                    help="window capacity: documents or ticks (default 1000)")
-    _add_engine_flags(i)
+    i.add_argument("--engine", choices=ENGINE_NAMES, default="ita")
+    _add_replay_flags(i)
     i.add_argument("--out", default=None, help="final per-query results CSV")
     i.add_argument("--metrics", default=None, help="per-event metrics CSV")
 
@@ -100,14 +108,11 @@ def build_parser() -> _Parser:
                         "run generates N prefill plus --events measured documents")
     b.add_argument("--engines", default="ita,naive",
                    help="comma-separated engine list (default ita,naive)")
-    b.add_argument("--dedup-threshold", type=float, default=None, metavar="T")
-    b.add_argument("--alpha", type=float, default=0.2)
-    b.add_argument("--events", type=int, default=200,
+    _add_replay_flags(b)
+    b.add_argument("--events", type=_positive_int, default=200,
                    help="measured events per point (default 200)")
     b.add_argument("--sweep", default=None, metavar="PARAM=V1,V2,...",
                    help="sweep n (query terms) or N (window size)")
-    b.add_argument("--verify", action="store_true")
-    b.add_argument("--verify-every", type=int, default=100)
     b.add_argument("--summary", default=None, help="summary CSV path (default stdout)")
     b.add_argument("--metrics", default=None,
                    help="per-event metrics CSV (single engine and value only)")
@@ -232,6 +237,10 @@ def _cmd_bench(args, outputs: ExitStack) -> int:
             dup_rate=args.dup_rate, dup_backlook=args.dup_backlook)
         query_cfg = QueryConfig(count=args.n_queries, terms=args.query_terms,
                                 k=args.k, seed=args.seed)
+        for value in values:  # each run's settings, checked before any run
+            WindowPolicy.count_based(value if param == "N" else args.n)
+            if param == "n":
+                replace(query_cfg, terms=value)
         dedup = _dedup_config(args)
         if args.metrics and (len(engines) > 1 or len(values) > 1):
             raise ValueError("--metrics needs a single engine and sweep value")

@@ -51,7 +51,7 @@ def test_event_kinds_reflect_expiration_pairing():
 
 def test_verification_passes_for_honest_engines():
     events, queries = _workload()
-    for engine in ("ita", "naive", "naive-kmax"):
+    for engine in ("ita", "naive"):
         res = run_benchmark(engine, events, queries, WindowPolicy.count_based(15),
                             verify_every=7)
         assert res.events_verified > 0
@@ -133,3 +133,6 @@ def test_sweep_rejects_bad_parameters():
     with pytest.raises(ValueError):
         sweep("n", [3, 2], stream=StreamConfig(), query=QueryConfig(),
               window_n=10, engines=["ita"], measured_events=5)
+    with pytest.raises(ValueError, match="measured_events"):
+        sweep("N", [10], stream=StreamConfig(), query=QueryConfig(),
+              window_n=10, engines=["ita"], measured_events=0)

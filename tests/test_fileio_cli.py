@@ -230,6 +230,40 @@ def test_config_errors_exit_one(tmp_path):
     assert not (tmp_path / "g.tsv").exists()
 
 
+def test_removed_kmax_engine_is_rejected(tmp_path, capsys):
+    assert _ingest(tmp_path, "1\t0\t@\ta:1\n", "--engine", "naive-kmax") == 1
+    assert run_cli(["bench", "--engines", "ita,naive-kmax", "--events", "5",
+                    "--n", "10"]) == 1
+    assert "unknown engine 'naive-kmax'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "0"], "window capacity must be >= 1"),
+    (["--sweep", "N=0,10"], "window capacity must be >= 1"),
+    (["--n", "10", "--sweep", "n=0,2"], "terms and k must be >= 1"),
+], ids=["window", "window-sweep", "terms-sweep"])
+def test_bad_sweep_values_fail_before_the_sweep(flags, message, monkeypatch, capsys):
+    import streamtopk.cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before checking the values")
+
+    monkeypatch.setattr(cli_mod, "sweep", no_sweep)
+    assert run_cli(["bench", "--engines", "ita", "--events", "5", *flags]) == 1
+    assert capsys.readouterr().err == f"streamtopk: {message}\n"  # no traceback
+
+
+def test_events_and_verify_every_below_one_exit_one(tmp_path, capsys):
+    bench = ["bench", "--engines", "ita", "--n", "10"]
+    for events in ("0", "-1"):
+        assert run_cli(bench + ["--events", events]) == 1
+    assert run_cli(bench + ["--events", "5", "--verify", "--verify-every", "0"]) == 1
+    for every in ("0", "-1"):
+        assert _ingest(tmp_path, "1\t0\t@\ta:1\n",
+                       "--verify", "--verify-every", every) == 1
+    assert "argument --verify-every: must be >= 1, got -1" in capsys.readouterr().err
+
+
 def test_verification_mismatch_exits_three(tmp_path, monkeypatch):
     import streamtopk.cli as cli_mod
     from streamtopk.bench import VerificationError
@@ -273,7 +307,7 @@ def test_invariant_breach_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_bench_sweep_summary(tmp_path):
     summary = tmp_path / "summary.csv"
-    assert run_cli(["bench", "--sweep", "n=2,3", "--engines", "ita,naive-kmax",
+    assert run_cli(["bench", "--sweep", "n=2,3", "--engines", "ita,naive",
                     "--events", "15", "--n", "10", "--vocab", "30",
                     "--queries", "3", "--doc-len", "3,8", "--k", "2",
                     "--summary", str(summary)]) == 0
